@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from .scalar import GaussRational, LaurentScalar, parse_scalar, render_coeff_body
+from .scalar import LaurentScalar, _superscript, parse_scalar, render_signed_sum
 
 Word = tuple  # tuple[str, ...]
 
@@ -471,32 +471,9 @@ def _render_word(w, unicode_mode=False) -> str:
     return "*".join(pieces)
 
 
-_SUPER = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
-
-
-def _superscript(n: int) -> str:
-    return str(n).translate(_SUPER)
-
-
 def render_poly(p: NCPoly, pres: Presentation, unicode_mode=False) -> str:
     """Canonical text form: one term per (word, q-power, coefficient)."""
-    if not p.terms:
-        return "0"
-    parts = []
-    for w in sorted(p.terms, key=pres.word_sort_key):
-        word_text = _render_word(w, unicode_mode)
-        for n, g in p.terms[w].items():
-            neg = g.re < 0 or (g.re == 0 and g.im < 0)
-            mag = -g if neg else g
-            body = render_coeff_body(mag, n, bare_unit=bool(word_text))
-            if unicode_mode and "^" in body:
-                head, _, exp = body.rpartition("^")
-                body = head + _superscript(int(exp))
-            if word_text:
-                body = f"{body}*{word_text}" if body != "1" else word_text
-            parts.append(("-" if neg else "+", body))
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+    return render_signed_sum(
+        ((_render_word(w, unicode_mode), p.terms[w])
+         for w in sorted(p.terms, key=pres.word_sort_key)),
+        superscripts=unicode_mode)

@@ -26,6 +26,7 @@ from .presentations import (
     W,
     eval_poly_at,
     get_presentation,
+    leibniz_expansion,
     norm_poly,
     qp,
     rat,
@@ -55,9 +56,6 @@ __all__ = [
     "VECTOR_FIELD_CONVENTIONS",
 ]
 
-CONSTANT_LETTERS = frozenset(E) | {"n_inv"}
-
-
 def _presentation_for(p: NCPoly, pres=None) -> Presentation:
     if pres is not None:
         return pres
@@ -76,19 +74,7 @@ def differential(p: NCPoly, pres: Presentation = None) -> NCPoly:
     letters are constants, grade-1 letters are annihilated.
     """
     pres = _presentation_for(p, pres)
-    out = NCPoly.zero(p.universe)
-    for w, c in p.terms.items():
-        prefix_grade = 0
-        for j, letter in enumerate(w):
-            grade = pres.grade(letter)
-            if grade == 0 and letter not in CONSTANT_LETTERS:
-                term = w[:j] + ("d" + letter,) + w[j + 1:]
-                for gid in term:
-                    pres.generator(gid)
-                sign = ONE if prefix_grade % 2 == 0 else -ONE
-                out = out + NCPoly.word(term, sign * c, p.universe)
-            prefix_grade += grade
-    return pres.normal_form(out)
+    return pres.normal_form(leibniz_expansion(p, pres))
 
 
 def nilpotency_residuals(pres: Presentation = None):

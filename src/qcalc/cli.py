@@ -148,7 +148,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(args.suite, cap=args.cap, jobs=args.jobs)
+    report = run_suite(args.suite, cap=args.cap)
     print(report.render_table())
     path = args.output or f"qcalc-report-{args.suite}.json"
     with open(path, "w", encoding="utf-8") as fh:
@@ -227,8 +227,6 @@ def _build_argparser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", nargs="?", default="all", choices=SUITES)
     p_verify.add_argument("--cap", type=int, default=3,
                           help="degree cap for classical bracket tabulation")
-    p_verify.add_argument("--jobs", type=int, default=None,
-                          help="worker threads for independent checks")
     p_verify.add_argument("--output", help="report file path")
     p_verify.set_defaults(fn=_cmd_verify)
 
@@ -246,7 +244,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 _FLAGS = {"-h", "--help", "--version", "--algebra", "--at-q",
-          "--literal-paper", "--unicode", "--cap", "--jobs", "--output"}
+          "--literal-paper", "--unicode", "--cap", "--output"}
 
 
 def _pad_expression_args(argv):

@@ -6,7 +6,7 @@ checks every structural claim and reports residuals.
 """
 
 from .algebra import NCPoly, Presentation, _render_word
-from .scalar import LaurentScalar, render_coeff_body
+from .scalar import LaurentScalar, render_signed_sum
 from .calculus import star, star_table
 from .presentations import A, C, L, ONE, get_presentation, norm_poly, rat
 
@@ -161,23 +161,12 @@ class TensorPoly:
         return NCPoly({k[0]: c for k, c in self.terms.items()})
 
     def render(self, pres: Presentation, unicode_mode=False) -> str:
-        if not self.terms:
-            return "0"
+        # q exponents stay ASCII even under unicode_mode; only words change
         sep = " ⊗ " if unicode_mode else " (x) "
-        parts = []
-        for key in sorted(self.terms, key=lambda k: tuple(pres.word_sort_key(w) for w in k)):
-            legs_text = sep.join(_render_word(w, unicode_mode) or "1" for w in key)
-            for n, g in self.terms[key].items():
-                neg = g.re < 0 or (g.re == 0 and g.im < 0)
-                mag = -g if neg else g
-                body = render_coeff_body(mag, n, bare_unit=True)
-                body = legs_text if body == "1" else f"{body}*{legs_text}"
-                parts.append(("-" if neg else "+", body))
-        sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        keys = sorted(self.terms, key=lambda k: tuple(pres.word_sort_key(w) for w in k))
+        return render_signed_sum(
+            (sep.join(_render_word(w, unicode_mode) or "1" for w in k), self.terms[k])
+            for k in keys)
 
     def __repr__(self):
         inner = " + ".join(
@@ -218,12 +207,13 @@ def _coproduct_images():
     return _images_box
 
 
+# keyed by the Presentation object: distinct presentations may share a name
 _word_cache = {}
 
 
 def _coproduct_word(w, pres: Presentation) -> TensorPoly:
     # legs are re-reduced at every step so cached entries stay small
-    key = (pres.name, w)
+    key = (pres, w)
     hit = _word_cache.get(key)
     if hit is None:
         if not w:
@@ -346,16 +336,7 @@ def reduce_norm_factors(p: NCPoly) -> NCPoly:
 
 def antipode_square(gid: str) -> NCPoly:
     """S(S(a_k)); the source is silent on its shape, so it is reported."""
-    loc = get_presentation("hq_localized")
-    images = _antipode_images()
-    first = antipode(NCPoly.letter(gid))
-    out = NCPoly.zero(loc.name)
-    for w, c in first.terms.items():
-        img = NCPoly.scalar(c, loc.name)
-        for g in reversed(w):
-            img = img * images[g]
-        out = out + img
-    return reduce_norm_factors(loc.normal_form(out))
+    return antipode(antipode(NCPoly.letter(gid)))
 
 
 def _relation_pairs(pres: Presentation):

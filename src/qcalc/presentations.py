@@ -511,8 +511,29 @@ def shipped_names(include_classical=True) -> list:
 
 # -- oracles ---------------------------------------------------------------
 
-def differential_letter(gid: str) -> str:
-    return "d" + gid
+# grade-0 letters that d treats as constants
+CONSTANT_LETTERS = frozenset(E) | {N_INV}
+
+
+def leibniz_expansion(p: NCPoly, pres: Presentation) -> NCPoly:
+    """Graded Leibniz expansion of d, without the final reduction.
+
+    Grade-0 coordinate letters map to their differential letter, which
+    pres must have; constant letters and grade-1 letters are annihilated.
+    """
+    out = NCPoly.zero(p.universe)
+    for w, c in p.terms.items():
+        prefix_grade = 0
+        for j, letter in enumerate(w):
+            grade = pres.grade(letter)
+            if grade == 0 and letter not in CONSTANT_LETTERS:
+                dletter = "d" + letter
+                pres.generator(dletter)  # the universe must have it
+                term = w[:j] + (dletter,) + w[j + 1:]
+                sign = ONE if prefix_grade % 2 == 0 else -ONE
+                out = out + NCPoly.word(term, sign * c, p.universe)
+            prefix_grade += grade
+    return out
 
 
 def leibniz_consistency_check(dga: Presentation, trace_rules=False):
@@ -529,8 +550,7 @@ def leibniz_consistency_check(dga: Presentation, trace_rules=False):
             continue  # differential-only rows are the oracle's output side
         relation = NCPoly.word(lhs) - dga.rules[lhs]
         trace = set() if trace_rules else None
-        d_rel = _graded_differential_raw(relation, dga)
-        residual = dga.normal_form(d_rel, trace=trace)
+        residual = dga.normal_form(leibniz_expansion(relation, dga), trace=trace)
         kind = "coordinate" if dga.grade(g1) == 0 else "mixed"
         entry = {
             "lhs": lhs,
@@ -541,21 +561,6 @@ def leibniz_consistency_check(dga: Presentation, trace_rules=False):
             entry["rules_used"] = trace
         results.append(entry)
     return results
-
-
-def _graded_differential_raw(p: NCPoly, pres: Presentation) -> NCPoly:
-    """Leibniz expansion without the final reduction."""
-    out = NCPoly.zero()
-    for w, c in p.terms.items():
-        prefix_grade = 0
-        for j, letter in enumerate(w):
-            grade = pres.grade(letter)
-            if grade == 0:
-                term = w[:j] + (differential_letter(letter),) + w[j + 1:]
-                sign = 1 if prefix_grade % 2 == 0 else -1
-                out = out + NCPoly.word(term, rat(sign) * c)
-            prefix_grade += grade
-    return out
 
 
 def corrected_rule_diff():

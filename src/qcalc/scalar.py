@@ -230,19 +230,7 @@ class LaurentScalar:
     # -- canonical text form -----------------------------------------
 
     def render(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for n in sorted(self._terms, reverse=True):
-            g = self._terms[n]
-            neg = g.re < 0 or (g.re == 0 and g.im < 0)
-            mag = -g if neg else g
-            parts.append(("-" if neg else "+", render_coeff_body(mag, n, bare_unit=False)))
-        sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return render_signed_sum([("", self)])
 
     def __str__(self) -> str:
         return self.render()
@@ -273,6 +261,37 @@ def render_coeff_body(g: GaussRational, n: int, bare_unit: bool) -> str:
         qs = f"q^{n}"
     pieces = [p for p in (coef, qs) if p]
     return "*".join(pieces) if pieces else "1"
+
+
+_SUPER = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
+
+
+def _superscript(n: int) -> str:
+    return str(n).translate(_SUPER)
+
+
+def render_signed_sum(terms, superscripts=False) -> str:
+    """Canonical text of a sum of (word text, LaurentScalar) terms, in order.
+
+    Each q-power of each coefficient becomes one product, its sign pulled
+    out as a " + " / " - " joiner; an empty word text is the unit word.
+    With superscripts, q exponents are written as superscripts.
+    """
+    out = []
+    for text, c in terms:
+        for n, g in c.items():
+            neg = g.re < 0 or (g.re == 0 and g.im < 0)
+            body = render_coeff_body(-g if neg else g, n, bare_unit=bool(text))
+            if superscripts and "^" in body:
+                head, _, exp = body.rpartition("^")
+                body = head + _superscript(int(exp))
+            if text:
+                body = text if body == "1" else f"{body}*{text}"
+            if out:
+                out.append(f" {'-' if neg else '+'} {body}")
+            else:
+                out.append(f"-{body}" if neg else body)
+    return "".join(out) or "0"
 
 
 # -- parsing ---------------------------------------------------------

@@ -1,18 +1,18 @@
 """Verification suites over the whole engine.
 
 Each suite is a list of independently runnable checks; the runner
-executes them concurrently, times them, and assembles a deterministic
-report sorted by check id.  A check that contradicts its contract is a
-fail; a documented discrepancy or informational value is a finding and
-never fails a run.
+executes them one after another, times them, and assembles a
+deterministic report sorted by check id.  A check that contradicts its
+contract is a fail; a documented discrepancy or informational value is a
+finding and never fails a run.  Residuals are rendered in the
+presentation they were reduced in.
 """
 
+import functools
 import random
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
-from .algebra import NCPoly, PresentationError, render_poly
+from .algebra import NCPoly, render_poly
 from .calculus import (
     OMEGA_BAR_CANDIDATES,
     VECTOR_FIELD_CONVENTIONS,
@@ -25,6 +25,7 @@ from .calculus import (
     star,
     star_involution_residuals,
     star_table,
+    unit_norm_extension,
     verify_d_star,
     verify_lie_algebra,
     verify_omega_bar_identity,
@@ -48,43 +49,17 @@ QUANTUM_FIELD_CAP = 2
 __all__ = ["SUITES", "QUANTUM_FIELD_CAP", "build_checks", "run_suite"]
 
 
-def _rendered(p) -> str:
+def _rendered(p, pres) -> str:
     if isinstance(p, TensorPoly):
-        return p.render(get_presentation("hq"))
-    if isinstance(p, NCPoly):
-        if p.universe:
-            try:
-                return render_poly(p, get_presentation(p.universe))
-            except PresentationError:
-                # working universes ("...+unit_norm") are not in the catalog
-                pass
-        letters = {g for w in p.terms for g in w}
-        for name in ("hq", "dga", "cartan_maurer", "grassmann", "units_cm",
-                     "units_dga", "hq_localized"):
-            pres = get_presentation(name)
-            if letters <= {g.id for g in pres.generators}:
-                return render_poly(p, pres)
-        return " + ".join("*".join(w) or "1" for w in sorted(p.terms))
-    return str(p)
+        return p.render(pres)
+    return render_poly(p, pres)
 
 
-def _exactness(residual):
+def _exactness(residual, pres):
+    """pass on a zero residual, else fail with it rendered in pres."""
     if residual:
-        return "fail", _rendered(residual)
+        return "fail", _rendered(residual, pres)
     return "pass", "0"
-
-
-def _lazy(fn):
-    # Lock prevents concurrent checks from recomputing a shared result.
-    box = {}
-    lock = threading.Lock()
-
-    def get():
-        with lock:
-            if "value" not in box:
-                box["value"] = fn()
-        return box["value"]
-    return get
 
 
 class Check:
@@ -125,7 +100,7 @@ def _dga_checks():
     for lhs in sorted(hq.rules):
         def verbatim(lhs=lhs):
             nf = hq.normal_form(NCPoly.word(lhs))
-            return _exactness(nf - hq.rules[lhs])
+            return _exactness(nf - hq.rules[lhs], hq)
         checks.append(Check(f"relations.verbatim.{lhs[0]}.{lhs[1]}", "dga",
                             "published coordinate relations", verbatim))
 
@@ -133,20 +108,22 @@ def _dga_checks():
             cl = get_presentation("classical-hq")
             nf = cl.normal_form(NCPoly.word(lhs, universe=cl.name))
             flip = NCPoly.word((lhs[1], lhs[0]), universe=cl.name)
-            return _exactness(nf - flip)
+            return _exactness(nf - flip, cl)
         checks.append(Check(f"relations.classical.{lhs[0]}.{lhs[1]}", "dga",
                             "published coordinate relations at q = 1",
                             transposed))
 
+    # Shared stages: each runs once per build_checks call, when the first
+    # check that needs it runs, and is charged to that check.
     dga = get_presentation("dga")
-    leibniz_rows = _lazy(lambda: {
+    leibniz_rows = functools.cache(lambda: {
         row["lhs"]: row["residual"]
         for row in leibniz_consistency_check(dga)})
     for lhs in sorted(dga.rules):
         if dga.grade(lhs[0]) != 0:
             continue
         def leibniz(lhs=lhs):
-            return _exactness(leibniz_rows()[lhs])
+            return _exactness(leibniz_rows()[lhs], dga)
         checks.append(Check(f"leibniz.corrected.{lhs[0]}.{lhs[1]}", "dga",
                             "published mixed commutation table", leibniz,
                             da_fix))
@@ -167,28 +144,31 @@ def _dga_checks():
                         "published mixed commutation table as printed",
                         leibniz_literal, da_fix))
 
-    nil_rows = _lazy(lambda: dict(nilpotency_residuals()))
+    nil_rows = functools.cache(lambda: dict(nilpotency_residuals()))
     for x in A:
         for y in A:
             def nil(x=x, y=y):
-                return _exactness(nil_rows()[(x, y)])
+                return _exactness(nil_rows()[(x, y)], dga)
             checks.append(Check(f"nilpotency.{x}.{y}", "dga",
                                 "derived: nilpotency of the differential",
                                 nil, da_fix))
 
     cm = get_presentation("cartan_maurer")
-    one_form_rows = _lazy(lambda: dict(one_form_consistency_residuals()))
+    # frame relations are reduced in dga through the frame definitions
+    one_form_rows = functools.cache(
+        lambda: dict(one_form_consistency_residuals()))
     for lhs in sorted(cm.rules):
         def one_form(lhs=lhs):
-            return _exactness(one_form_rows()[lhs])
+            return _exactness(one_form_rows()[lhs], dga)
         checks.append(Check(f"one_form.{lhs[0]}.{lhs[1]}", "dga",
                             "published one-form algebra vs frame definitions",
                             one_form, da_fix))
 
-    closure_rows = _lazy(lambda: dict(conversion_closure_residuals()))
+    closure_rows = functools.cache(
+        lambda: dict(conversion_closure_residuals()))
     for aid in A:
         def closure(aid=aid):
-            return _exactness(closure_rows()[aid])
+            return _exactness(closure_rows()[aid], cm)
         checks.append(Check(f"closure.corrected.{aid}", "dga",
                             "published two-form table", closure,
                             da_fix + dw_fix))
@@ -206,7 +186,7 @@ def _dga_checks():
 
     for k in range(4):
         def dstar(k=k):
-            return _exactness(verify_d_star(k))
+            return _exactness(verify_d_star(k), cm)
         checks.append(Check(f"d_star.a{k}", "dga",
                             "published star interchange identity", dstar))
 
@@ -214,7 +194,8 @@ def _dga_checks():
         table = star_table(cm.name)
         rows = da_from_w()
         target = qp(2) * rows["a0"]
-        return _exactness(cm.normal_form(star(rows["a0"], table, cm) - target))
+        return _exactness(
+            cm.normal_form(star(rows["a0"], table, cm) - target), cm)
     checks.append(Check("d_star.worked_example", "dga",
                         "published star interchange identity", worked))
 
@@ -226,8 +207,9 @@ def _dga_checks():
             if not nonzero:
                 return "pass", "0"
             status = "fail" if name in involutive else "finding"
+            pres = get_presentation(name)
             return status, "; ".join(
-                f"{gid}: {_rendered(r)}" for gid, r in nonzero)
+                f"{gid}: {_rendered(r, pres)}" for gid, r in nonzero)
         checks.append(Check(f"star_involution.{name}", "dga",
                             "published star tables", involution))
 
@@ -256,14 +238,22 @@ def _dga_checks():
             residual = verify_omega_bar_identity(candidate)
             if not residual:
                 return "pass", "0"
-            return "finding", _rendered(residual)
+            if candidate == "star-of-omega":
+                pres = get_presentation("units_cm")
+            else:
+                pres = unit_norm_extension("units_dga")
+            return "finding", _rendered(residual, pres)
         checks.append(Check(f"omega_bar.{candidate}", "dga",
                             "published boundary one-form identity", omega_bar))
 
-    recover_rows = _lazy(lambda: dict(recover_differentials_on_unit_sphere()))
+    # rows are reduced in the q = 1 unit-norm quotient of dga, which keeps
+    # the generators of classical-dga
+    recover_rows = functools.cache(
+        lambda: dict(recover_differentials_on_unit_sphere()))
     for aid in A:
         def recover(aid=aid):
-            return _exactness(recover_rows()[aid])
+            return _exactness(recover_rows()[aid],
+                              get_presentation("classical-dga"))
         checks.append(Check(f"recover_da.{aid}", "dga",
                             "derived: unit-norm reduction at q = 1", recover))
     return checks
@@ -272,19 +262,21 @@ def _dga_checks():
 # -- Hopf suite -------------------------------------------------------------
 
 
-_HOPF_REFS = (
-    ("coproduct.", "published coproduct"),
-    ("counit.", "published counit"),
-    ("antipode.", "published antipode"),
-    ("norm.", "published norm properties"),
-    ("star.", "published star tables"),
-    ("localized.", "derived: norm localization"),
-)
+# check group: (paper reference, universe its residuals are reduced in)
+_HOPF_GROUPS = {
+    "coproduct": ("published coproduct", "hq"),
+    "counit": ("published counit", "hq"),
+    "antipode": ("published antipode", "hq_localized"),
+    "norm": ("published norm properties", "hq"),
+    "star": ("published star tables", "hq"),
+    "localized": ("derived: norm localization", "hq_localized"),
+}
 
 
 def _hopf_checks():
     checks = []
-    records = _lazy(lambda: {rec["id"]: rec for rec in verify_hopf_axioms()})
+    records = functools.cache(
+        lambda: {rec["id"]: rec for rec in verify_hopf_axioms()})
     hq = get_presentation("hq")
     ids = []
     for lhs in sorted(hq.rules):
@@ -305,14 +297,14 @@ def _hopf_checks():
             "localized.centrality", "localized.cancel"]
 
     for check_id in ids:
-        ref = next((ref for prefix, ref in _HOPF_REFS
-                    if check_id.startswith(prefix)), "published Hopf structure")
+        ref, universe = _HOPF_GROUPS[check_id.split(".", 1)[0]]
 
-        def thunk(check_id=check_id):
+        def thunk(check_id=check_id, universe=universe):
             rec = records()[check_id]
+            pres = get_presentation(universe)
             if rec["kind"] == "informational":
-                return "finding", _rendered(rec["residual"])
-            return _exactness(rec["residual"])
+                return "finding", _rendered(rec["residual"], pres)
+            return _exactness(rec["residual"], pres)
         checks.append(Check(f"hopf.{check_id}", "hopf", ref, thunk))
     return checks
 
@@ -325,15 +317,10 @@ _CLASSICAL_BRACKETS = ("n1.n2", "n2.n3", "n3.n1", "n1.n0", "n2.n0", "n3.n0")
 
 def _classical_checks(cap):
     checks = []
-    memo = {}
-    lock = threading.Lock()
 
+    @functools.cache
     def bracket_records(convention):
-        with lock:
-            if convention not in memo:
-                memo[convention] = verify_lie_algebra(
-                    cap, "classical", convention=convention)
-        return memo[convention]
+        return verify_lie_algebra(cap, "classical", convention=convention)
 
     for idx, label in enumerate(_CLASSICAL_BRACKETS):
         def bracket(idx=idx):
@@ -341,8 +328,9 @@ def _classical_checks(cap):
             if not failures:
                 return "pass", "0"
             word, residual = failures[0]
+            cl = get_presentation("classical-hq")
             return "fail", (f"{len(failures)} monomials violate; first "
-                            f"{'*'.join(word) or '1'}: {_rendered(residual)}")
+                            f"{'*'.join(word) or '1'}: {_rendered(residual, cl)}")
         checks.append(Check(f"classical.bracket.{label}", "classical",
                             "published classical bracket table", bracket))
 
@@ -369,7 +357,7 @@ def _classical_checks(cap):
             got = cartan_maurer_d(k).eval_at(1)
             want = cl.normal_form(NCPoly(dict(targets[k].terms), cl.name))
             return _exactness(
-                cl.normal_form(NCPoly(dict(got.terms), cl.name)) - want)
+                cl.normal_form(NCPoly(dict(got.terms), cl.name)) - want, cl)
         checks.append(Check(f"classical.two_form_limit.w{k}", "classical",
                             "published classical two-forms", limit,
                             ("dw0: quadratic term letter order",)))
@@ -390,7 +378,7 @@ def _grassmann_checks():
     checks.append(Check("confluence.grassmann", "grassmann",
                         "derived: overlap analysis", confluence))
 
-    records = _lazy(lambda: {
+    records = functools.cache(lambda: {
         rec["id"]: rec for rec in grassmann_vs_differentials_crosscheck()})
     ids = ["row.psi0.psi0", "row.psi1.psi1", "row.psi0.psi1", "row.psi0.psi2",
            "row.psi0.psi3", "row.psi1.psi2", "row.psi1.psi3", "row.psi2.psi3",
@@ -400,7 +388,9 @@ def _grassmann_checks():
             rec = records()[rec_id]
             if rec["match"]:
                 return "pass", "0"
-            return "finding", f"{_rendered(rec['residual'])} ({rec['detail']})"
+            # residuals are differences of rules in the repaired table
+            residual = _rendered(rec["residual"], get_presentation("dga"))
+            return "finding", f"{residual} ({rec['detail']})"
         checks.append(Check(f"grassmann.crosscheck.{rec_id}", "grassmann",
                             "published odd-generator table vs differential table",
                             crosscheck))
@@ -416,15 +406,11 @@ _QUANTUM_ROWS = ("n0n1-n1n0", "n0n2-n2n0", "n0n3-n3n0",
 
 def _vector_field_checks():
     checks = []
-    memo = {}
-    lock = threading.Lock()
 
+    @functools.cache
     def records(convention):
-        with lock:
-            if convention not in memo:
-                memo[convention] = verify_lie_algebra(
-                    QUANTUM_FIELD_CAP, "quantum", convention=convention)
-        return memo[convention]
+        return verify_lie_algebra(QUANTUM_FIELD_CAP, "quantum",
+                                  convention=convention)
 
     for convention in VECTOR_FIELD_CONVENTIONS:
         for idx, label in enumerate(_QUANTUM_ROWS):
@@ -433,10 +419,11 @@ def _vector_field_checks():
                 if not failures:
                     return "pass", "0"
                 word, residual = failures[0]
+                hq = get_presentation("hq")
                 return "finding", (
                     f"{len(failures)} monomials violate at cap "
                     f"{QUANTUM_FIELD_CAP}; first {'*'.join(word) or '1'}: "
-                    f"{_rendered(residual)}")
+                    f"{_rendered(residual, hq)}")
             checks.append(Check(f"quantum.{convention}.{label}",
                                 "vector-fields",
                                 "published deformed generator relations",
@@ -466,27 +453,23 @@ def build_checks(suite: str, cap: int = 3) -> list:
     return parts[suite]()
 
 
-def run_suite(suite: str, cap: int = 3, jobs: int = None) -> VerificationReport:
-    """Execute a suite concurrently and assemble the sorted report."""
-    checks = build_checks(suite, cap=cap)
+def run_suite(suite: str, cap: int = 3, jobs=None) -> VerificationReport:
+    """Execute a suite's checks in order and assemble the sorted report.
 
-    def run_one(check: Check) -> CheckRecord:
+    jobs is accepted and ignored: checks always run one after another.
+    It stays because existing callers, such as the perfbench harness,
+    still pass it.
+    """
+    records = []
+    for check in build_checks(suite, cap=cap):
         start = perf_counter()
         status, residual = check.thunk()
-        ms = int((perf_counter() - start) * 1000)
-        return CheckRecord(
+        records.append(CheckRecord(
             id=check.id,
             paper_ref=check.paper_ref,
             status=status,
             residual=residual,
             corrections=check.corrections,
-            ms=ms,
-        )
-
-    workers = jobs or 4
-    if workers <= 1:
-        records = [run_one(c) for c in checks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_one, checks))
+            ms=int((perf_counter() - start) * 1000),
+        ))
     return VerificationReport(suite=suite, checks=records)

@@ -7,6 +7,23 @@ from qcalc.cli import main
 NF_A0A1 = ("-(1/2)*i*q*a3^2 + (1/2)*i*q^-1*a3^2 "
            "- (1/2)*i*q*a2^2 + (1/2)*i*q^-1*a2^2 + a1*a0")
 
+COPRODUCT_A0A1_UNICODE = (
+    "a3² ⊗ a3*a2 - (1/2)*i*q*a3² ⊗ a0² + (1/2)*i*q^-1*a3² ⊗ a0² - "
+    "a3*a2 ⊗ a3² + a3*a2 ⊗ a2² - a3*a1 ⊗ a3*a0 + (1/2)*q^2*a3*a1 ⊗ "
+    "a2*a1 + (1/2)*q^-2*a3*a1 ⊗ a2*a1 - (1/2)*i*q^2*a3*a1 ⊗ a2*a0 + "
+    "(1/2)*i*q^-2*a3*a1 ⊗ a2*a0 - a3*a0 ⊗ a3*a1 - (1/2)*i*q^2*a3*a0 "
+    "⊗ a2*a1 + (1/2)*i*q^-2*a3*a0 ⊗ a2*a1 - (1/2)*q^2*a3*a0 ⊗ a2*a0 "
+    "- (1/2)*q^-2*a3*a0 ⊗ a2*a0 - a2² ⊗ a3*a2 - (1/2)*i*q*a2² ⊗ a0² "
+    "+ (1/2)*i*q^-1*a2² ⊗ a0² - (1/2)*q^2*a2*a1 ⊗ a3*a1 - "
+    "(1/2)*q^-2*a2*a1 ⊗ a3*a1 + (1/2)*i*q^2*a2*a1 ⊗ a3*a0 - "
+    "(1/2)*i*q^-2*a2*a1 ⊗ a3*a0 - a2*a1 ⊗ a2*a0 + (1/2)*i*q^2*a2*a0 "
+    "⊗ a3*a1 - (1/2)*i*q^-2*a2*a0 ⊗ a3*a1 + (1/2)*q^2*a2*a0 ⊗ a3*a0 "
+    "+ (1/2)*q^-2*a2*a0 ⊗ a3*a0 - a2*a0 ⊗ a2*a1 - a1² ⊗ a1*a0 - "
+    "a1*a0 ⊗ a1² + a1*a0 ⊗ a0² - (1/2)*i*q*a0² ⊗ a3² + "
+    "(1/2)*i*q^-1*a0² ⊗ a3² - (1/2)*i*q*a0² ⊗ a2² + "
+    "(1/2)*i*q^-1*a0² ⊗ a2² + a0² ⊗ a1*a0"
+)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -65,6 +82,13 @@ def test_apply_star_coproduct_counit_antipode(capsys):
     assert (code, out.strip()) == (
         0, "(1/2)*i*q*a3*n_inv - (1/2)*i*q^-1*a3*n_inv "
            "- (1/2)*q*a2*n_inv - (1/2)*q^-1*a2*n_inv")
+
+
+def test_coproduct_unicode_rendering(capsys):
+    # words take superscripts and the tensor sign; q exponents stay ASCII
+    code, out, _ = run(capsys, "apply", "coproduct", "--unicode", "a0*a1")
+    assert code == 0
+    assert out.strip() == COPRODUCT_A0A1_UNICODE
 
 
 def test_apply_d_upgrades_the_universe(capsys):

@@ -15,7 +15,7 @@ from qcalc.hopf import (
     reduce_norm_factors,
     tensor,
 )
-from qcalc.presentations import norm_poly
+from qcalc.presentations import norm_poly, specialize
 
 A = ("a0", "a1", "a2", "a3")
 
@@ -161,3 +161,12 @@ def test_hopf_axiom_suite_is_exact(hopf_records):
     assert sorted(r["id"] for r in info) == [
         "antipode.square.a0", "antipode.square.a1",
         "antipode.square.a2", "antipode.square.a3"]
+
+
+def test_coproduct_cache_tells_presentations_with_one_name_apart():
+    hq = get_presentation("hq")
+    p = letter("a0") * letter("a1")
+    generic = coproduct(p, hq)
+    at_one = coproduct(p, specialize(hq, 1, name="hq"))
+    assert at_one == coproduct(p, get_presentation("classical-hq"))
+    assert at_one != generic
