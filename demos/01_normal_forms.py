@@ -5,7 +5,7 @@ Run with:  python3 demos/01_normal_forms.py
 
 from fractions import Fraction
 
-from qcalc import eval_poly_at, get_presentation, norm_poly, parse, render_poly, specialize
+from qcalc import get_presentation, norm_poly, parse, render_poly, specialize
 
 
 def main():
@@ -58,10 +58,10 @@ def main():
     sample = parse("a0*a2", hq)
     print(f"  generic q : nf(a0*a2) = {render_poly(hq.normal_form(sample), hq)}")
     print(f"  q = 1     : nf(a0*a2) ="
-          f" {render_poly(classical.normal_form(eval_poly_at(sample, 1)), classical)}"
+          f" {render_poly(classical.normal_form(sample.eval_at(1)), classical)}"
           "   (coordinates commute)")
     print(f"  q = 2     : nf(a0*a2) ="
-          f" {render_poly(at2.normal_form(eval_poly_at(sample, 2)), at2)}")
+          f" {render_poly(at2.normal_form(sample.eval_at(2)), at2)}")
 
 
 if __name__ == "__main__":

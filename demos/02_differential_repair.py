@@ -13,7 +13,6 @@ from qcalc import (
     cartan_maurer_d,
     conversion_closure_residuals,
     corrected_rule_diff,
-    eval_poly_at,
     get_presentation,
     leibniz_consistency_check,
     nilpotency_residuals,
@@ -85,7 +84,7 @@ def main():
     print("== classical limit of the frame derivatives ==")
     ccm = get_presentation("classical-cartan_maurer")
     for k in range(4):
-        at1 = ccm.normal_form(eval_poly_at(cartan_maurer_d(k), 1))
+        at1 = ccm.normal_form(cartan_maurer_d(k).eval_at(1))
         print(f"  q = 1: d(w{k}) = {render_poly(at1, ccm)}")
 
 

@@ -22,7 +22,6 @@ from .algebra import (
 from .presentations import (
     classical,
     corrected_rule_diff,
-    eval_poly_at,
     get_presentation,
     grassmann_vs_differentials_crosscheck,
     leibniz_consistency_check,
@@ -99,7 +98,6 @@ __all__ = [
     "counit",
     "da_from_w",
     "differential",
-    "eval_poly_at",
     "extract_vector_fields",
     "get_presentation",
     "grassmann_vs_differentials_crosscheck",

@@ -10,10 +10,12 @@ leftmost reducible pair until no rule applies, guarded by a step limit.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass
 
-from .scalar import LaurentScalar, _superscript, parse_scalar, render_signed_sum
+from .scalar import (LaurentScalar, _superscript, add_term, convolve,
+                     parse_scalar, render_signed_sum)
 
 Word = tuple  # tuple[str, ...]
 
@@ -114,11 +116,7 @@ class NCPoly:
             other = NCPoly.scalar(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            s = terms.get(w, LaurentScalar.zero()) + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
+            add_term(terms, w, c)
         return NCPoly(terms, self._merge_universe(other))
 
     __radd__ = __add__
@@ -138,18 +136,7 @@ class NCPoly:
         if not isinstance(other, NCPoly):
             c = LaurentScalar.coerce(other)
             return NCPoly({w: v * c for w, v in self.terms.items()}, self.universe)
-        terms = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                p = c1 * c2
-                if not p:
-                    continue
-                w = w1 + w2
-                s = terms.get(w, LaurentScalar.zero()) + p
-                if s:
-                    terms[w] = s
-                else:
-                    terms.pop(w, None)
+        terms = convolve(self.terms, other.terms, operator.add)
         return NCPoly(terms, self._merge_universe(other))
 
     def __rmul__(self, other) -> "NCPoly":
@@ -304,30 +291,34 @@ class Presentation:
         """Fully reduce p, leftmost reducible pair first.
 
         trace, if given, is a set collecting the lhs pairs of every rule
-        actually applied (caching is disabled so usage is complete).
+        actually applied (caching is disabled so usage is complete).  A
+        cached normal form is charged the steps it cost when computed, so
+        whether the limit is hit depends on p alone.
         """
         self.check_letters(p)
         budget = [step_limit if step_limit is not None else step_limit_default()]
         out = {}
         for w, c in sorted(p.terms.items(), key=lambda kv: self.word_sort_key(kv[0])):
-            self._accumulate(out, self._nf_word(w, budget, trace), c)
+            for nw, nc in self._nf_word(w, budget, trace).items():
+                add_term(out, nw, nc * c)
         return NCPoly(out, p.universe)
 
-    @staticmethod
-    def _accumulate(acc, terms, scale):
-        for w, c in terms.items():
-            s = acc.get(w, LaurentScalar.zero()) + c * scale
-            if s:
-                acc[w] = s
-            else:
-                acc.pop(w, None)
+    def _charge(self, budget, steps):
+        if steps > budget[0]:
+            raise StepLimitExceeded(
+                f"step limit exceeded while reducing in {self.name!r}; "
+                f"raise it via the step_limit argument or {STEP_LIMIT_ENV}")
+        budget[0] -= steps
 
     def _nf_word(self, word, budget, trace):
+        # _nf_cache maps a word to (normal form terms, rewrite steps it cost)
         use_cache = trace is None
         if use_cache:
             hit = self._nf_cache.get(word)
             if hit is not None:
-                return hit
+                self._charge(budget, hit[1])
+                return hit[0]
+        start = budget[0]
         acc = {}
         one = LaurentScalar.one()
         stack = [(word, one)]
@@ -337,28 +328,22 @@ class Presentation:
             if use_cache and w != word:
                 hit = self._nf_cache.get(w)
                 if hit is not None:
-                    self._accumulate(acc, hit, c)
+                    self._charge(budget, hit[1])
+                    for nw, nc in hit[0].items():
+                        add_term(acc, nw, nc * c)
                     continue
             i = self._first_redex(w)
             if i is None:
-                s = acc.get(w, LaurentScalar.zero()) + c
-                if s:
-                    acc[w] = s
-                else:
-                    acc.pop(w, None)
+                add_term(acc, w, c)
                 continue
-            if budget[0] <= 0:
-                raise StepLimitExceeded(
-                    f"step limit exceeded while reducing in {self.name!r}; "
-                    f"raise it via the step_limit argument or {STEP_LIMIT_ENV}")
-            budget[0] -= 1
+            self._charge(budget, 1)
             pair = (w[i], w[i + 1])
             if trace is not None:
                 trace.add(pair)
             for rw, rc in rules[pair].terms.items():
                 stack.append((w[:i] + rw + w[i + 2:], c * rc))
         if use_cache:
-            self._nf_cache[word] = acc
+            self._nf_cache[word] = (acc, start - budget[0])
         return acc
 
     def nc_equal(self, p: NCPoly, r: NCPoly, step_limit=None) -> bool:

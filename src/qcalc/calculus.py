@@ -24,7 +24,6 @@ from .presentations import (
     ONE,
     S,
     W,
-    eval_poly_at,
     get_presentation,
     leibniz_expansion,
     norm_poly,
@@ -154,7 +153,7 @@ def star_table(name: str) -> dict:
     if base == "hq_localized":
         table["n_inv"] = L("n_inv")
     if at_one:
-        table = {k: eval_poly_at(v, 1) for k, v in table.items()}
+        table = {k: v.eval_at(1) for k, v in table.items()}
     return table
 
 
@@ -398,12 +397,12 @@ def recover_differentials_on_unit_sphere() -> list:
     at_one = Presentation(
         "classical-" + ext.name,
         list(ext.generators),
-        {k: eval_poly_at(v, 1) for k, v in ext.rules.items()},
+        {k: v.eval_at(1) for k, v in ext.rules.items()},
         ext.description + " at q=1",
     )
     u = at_one.name
     forms = omega_forms()
-    images = {k: NCPoly(dict(eval_poly_at(v, 1).terms), u) for k, v in forms.items()}
+    images = {k: NCPoly(dict(v.eval_at(1).terms), u) for k, v in forms.items()}
     out = []
     for aid, row in _DA_ROWS.items():
         acc = NCPoly.zero(u)
@@ -446,7 +445,7 @@ def coordinate_frame_coefficients(f: NCPoly, classical: bool = False) -> dict:
         "d" + aid: NCPoly(dict(row.terms), cm.name) for aid, row in rows.items()
     }
     if classical:
-        images = {k: eval_poly_at(v, 1) for k, v in images.items()}
+        images = {k: v.eval_at(1) for k, v in images.items()}
     df = differential(NCPoly(dict(f.terms), dga.name), dga)
     converted = cm.normal_form(substitute(df, images, cm.name))
     parts = {k: NCPoly.zero() for k in W}

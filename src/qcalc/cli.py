@@ -20,7 +20,7 @@ from .algebra import (
 from .calculus import differential, star, star_table
 from .hopf import antipode, coproduct, counit
 from .parser import ParseError, parse
-from .presentations import eval_poly_at, get_presentation, shipped_names, specialize
+from .presentations import get_presentation, shipped_names, specialize
 from .report import ENGINE_VERSION
 from .verify import SUITES, run_suite
 
@@ -75,7 +75,7 @@ def _parse_expr(text, pres, args):
     p = parse(text, pres)
     value = _q_value(args)
     if value is not None:
-        p = NCPoly(dict(eval_poly_at(p, value).terms), pres.name)
+        p = NCPoly(dict(p.eval_at(value).terms), pres.name)
     return p
 
 
@@ -124,7 +124,7 @@ def _cmd_apply(args) -> int:
             raise CliError(str(exc)) from exc
         value = _q_value(args)
         if value is not None:
-            table = {k: eval_poly_at(v, value) for k, v in table.items()}
+            table = {k: v.eval_at(value) for k, v in table.items()}
         p = _parse_expr(args.expr, pres, args)
         print(render_poly(star(p, table, pres), pres,
                           unicode_mode=args.unicode))

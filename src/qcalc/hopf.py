@@ -5,8 +5,11 @@ antipode, localization by the central norm, and the axiom suite that
 checks every structural claim and reports residuals.
 """
 
+import functools
+import operator
+
 from .algebra import NCPoly, Presentation, _render_word
-from .scalar import LaurentScalar, render_signed_sum
+from .scalar import LaurentScalar, add_term, convolve, render_signed_sum
 from .calculus import star, star_table
 from .presentations import A, C, L, ONE, get_presentation, norm_poly, rat
 
@@ -20,6 +23,10 @@ __all__ = [
     "tensor",
     "verify_hopf_axioms",
 ]
+
+
+def _join_legs(k1, k2):
+    return tuple(map(operator.add, k1, k2))
 
 
 class TensorPoly:
@@ -53,11 +60,7 @@ class TensorPoly:
         self._check(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            s = terms.get(k, LaurentScalar.zero()) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
+            add_term(terms, k, c)
         return TensorPoly(terms, self.legs)
 
     def __neg__(self) -> "TensorPoly":
@@ -71,19 +74,7 @@ class TensorPoly:
             c = LaurentScalar.coerce(other)
             return TensorPoly({k: v * c for k, v in self.terms.items()}, self.legs)
         self._check(other)
-        terms = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                p = c1 * c2
-                if not p:
-                    continue
-                k = tuple(w1 + w2 for w1, w2 in zip(k1, k2))
-                s = terms.get(k, LaurentScalar.zero()) + p
-                if s:
-                    terms[k] = s
-                else:
-                    terms.pop(k, None)
-        return TensorPoly(terms, self.legs)
+        return TensorPoly(convolve(self.terms, other.terms, _join_legs), self.legs)
 
     def __rmul__(self, other) -> "TensorPoly":
         return self * other
@@ -103,56 +94,31 @@ class TensorPoly:
             partial = {tuple(() for _ in range(self.legs)): c}
             for idx, w in enumerate(key):
                 nf = pres.normal_form(NCPoly.word(w))
-                expanded = {}
-                for k2, c2 in partial.items():
-                    for w2, c3 in nf.terms.items():
-                        k3 = list(k2)
-                        k3[idx] = k2[idx] + w2
-                        key3 = tuple(k3)
-                        s = expanded.get(key3, LaurentScalar.zero()) + c2 * c3
-                        if s:
-                            expanded[key3] = s
-                        else:
-                            expanded.pop(key3, None)
-                partial = expanded
+                partial = convolve(
+                    partial, nf.terms,
+                    lambda k, w2: k[:idx] + (k[idx] + w2,) + k[idx + 1:])
             for k2, c2 in partial.items():
-                s = out.get(k2, LaurentScalar.zero()) + c2
-                if s:
-                    out[k2] = s
-                else:
-                    out.pop(k2, None)
+                add_term(out, k2, c2)
         return TensorPoly(out, self.legs)
 
     def map_leg(self, idx: int, images: dict, image_legs: int) -> "TensorPoly":
         """Replace leg idx through a homomorphism with TensorPoly letter images."""
-        out = TensorPoly.zero(self.legs - 1 + image_legs)
+        out = {}
         for key, c in self.terms.items():
             img = TensorPoly.unit(image_legs) * c
             for gid in key[idx]:
                 img = img * images[gid]
             for k2, c2 in img.terms.items():
-                spliced = key[:idx] + k2 + key[idx + 1:]
-                s = out.terms.get(spliced, LaurentScalar.zero()) + c2
-                if s:
-                    out.terms[spliced] = s
-                else:
-                    out.terms.pop(spliced, None)
-        return out
+                add_term(out, key[:idx] + k2 + key[idx + 1:], c2)
+        return TensorPoly(out, self.legs - 1 + image_legs)
 
     def contract_leg(self, idx: int, scalar_fn) -> "TensorPoly":
         """Apply a scalar-valued homomorphism to one leg."""
-        out = TensorPoly.zero(self.legs - 1)
+        out = {}
         for key, c in self.terms.items():
-            weight = scalar_fn(NCPoly.word(key[idx], c))
-            if not weight:
-                continue
-            rest = key[:idx] + key[idx + 1:]
-            s = out.terms.get(rest, LaurentScalar.zero()) + weight
-            if s:
-                out.terms[rest] = s
-            else:
-                out.terms.pop(rest, None)
-        return out
+            add_term(out, key[:idx] + key[idx + 1:],
+                     scalar_fn(NCPoly.word(key[idx], c)))
+        return TensorPoly(out, self.legs - 1)
 
     def as_poly(self) -> NCPoly:
         """Collapse a single-leg tensor back to a plain polynomial."""
@@ -188,23 +154,19 @@ def tensor(*factors: NCPoly) -> TensorPoly:
     return out
 
 
-_images_box = {}
-
-
+@functools.cache
 def _coproduct_images():
-    if not _images_box:
-        a0, a1, a2, a3 = (L(g) for g in A)
-        _images_box.update({
-            "a0": tensor(a0, a0) - tensor(a1, a1) - tensor(a2, a2)
-            - tensor(a3, a3),
-            "a1": tensor(a0, a1) + tensor(a1, a0) + tensor(a2, a3)
-            - tensor(a3, a2),
-            "a2": tensor(a0, a2) + tensor(a2, a0) + tensor(a3, a1)
-            - tensor(a1, a3),
-            "a3": tensor(a0, a3) + tensor(a3, a0) + tensor(a1, a2)
-            - tensor(a2, a1),
-        })
-    return _images_box
+    a0, a1, a2, a3 = (L(g) for g in A)
+    return {
+        "a0": tensor(a0, a0) - tensor(a1, a1) - tensor(a2, a2)
+        - tensor(a3, a3),
+        "a1": tensor(a0, a1) + tensor(a1, a0) + tensor(a2, a3)
+        - tensor(a3, a2),
+        "a2": tensor(a0, a2) + tensor(a2, a0) + tensor(a3, a1)
+        - tensor(a1, a3),
+        "a3": tensor(a0, a3) + tensor(a3, a0) + tensor(a1, a2)
+        - tensor(a2, a1),
+    }
 
 
 # keyed by the Presentation object: distinct presentations may share a name
@@ -233,11 +195,7 @@ def coproduct(p: NCPoly, pres: Presentation = None) -> TensorPoly:
     out = {}
     for w, c in p.terms.items():
         for key, c2 in _coproduct_word(w, pres).terms.items():
-            s = out.get(key, LaurentScalar.zero()) + c2 * c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            add_term(out, key, c2 * c)
     return TensorPoly(out, 2)
 
 
@@ -319,11 +277,7 @@ def reduce_norm_factors(p: NCPoly) -> NCPoly:
                     continue
                 terms = dict(p.terms)
                 for word, coeff in bundle.items():
-                    left = terms[word] - coeff
-                    if left:
-                        terms[word] = left
-                    else:
-                        terms.pop(word)
+                    add_term(terms, word, -coeff)
                 acc = NCPoly(terms, p.universe) + NCPoly.word(
                     base + tail[1:], c, p.universe)
                 p = loc.normal_form(acc)

@@ -458,10 +458,6 @@ def classical(pres: Presentation) -> Presentation:
     return specialize(pres, 1, name=f"classical-{pres.name}")
 
 
-def eval_poly_at(p: NCPoly, q0) -> NCPoly:
-    return p.eval_at(q0)
-
-
 # -- catalog --------------------------------------------------------------
 
 _CATALOG_BUILDERS = {

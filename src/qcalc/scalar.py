@@ -5,12 +5,45 @@ sparse Laurent polynomial in the real invertible parameter q with
 GaussRational coefficients.  Everything is Fraction-backed and exact; no
 floating point enters anywhere.  Canonical form never stores a zero
 coefficient, so structural equality is mathematical equality.
+
+add_term and convolve are the sparse-map core shared by every layer: a
+LaurentScalar maps q-exponents to GaussRationals, an NCPoly maps words to
+LaurentScalars and a TensorPoly maps tuples of words to LaurentScalars,
+and all three accumulate and multiply through these two functions.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+def add_term(acc: dict, key, c) -> None:
+    """acc[key] += c in place, never storing a zero value.
+
+    A key whose sum cancels is deleted, so a later term for it is
+    inserted again at the end of the dict.
+    """
+    old = acc.get(key)
+    if old is None:
+        if c:
+            acc[key] = c
+    else:
+        s = old + c
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]
+
+
+def convolve(left: dict, right: dict, join) -> dict:
+    """Product of two sparse maps: keys combine by join, values multiply."""
+    out = {}
+    for k1, v1 in left.items():
+        for k2, v2 in right.items():
+            add_term(out, join(k1, k2), v1 * v2)
+    return out
 
 
 @dataclass(frozen=True)
@@ -116,14 +149,9 @@ class LaurentScalar:
     def __add__(self, other) -> "LaurentScalar":
         if not isinstance(other, (LaurentScalar, int, Fraction, GaussRational)):
             return NotImplemented
-        other = LaurentScalar.coerce(other)
         terms = dict(self._terms)
-        for n, g in other._terms.items():
-            s = terms.get(n, GR_ZERO) + g
-            if s:
-                terms[n] = s
-            else:
-                terms.pop(n, None)
+        for n, g in LaurentScalar.coerce(other)._terms.items():
+            add_term(terms, n, g)
         return LaurentScalar(terms)
 
     __radd__ = __add__
@@ -139,20 +167,8 @@ class LaurentScalar:
     def __mul__(self, other) -> "LaurentScalar":
         if not isinstance(other, (LaurentScalar, int, Fraction, GaussRational)):
             return NotImplemented
-        other = LaurentScalar.coerce(other)
-        terms = {}
-        for n1, g1 in self._terms.items():
-            for n2, g2 in other._terms.items():
-                p = g1 * g2
-                if not p:
-                    continue
-                n = n1 + n2
-                s = terms.get(n, GR_ZERO) + p
-                if s:
-                    terms[n] = s
-                else:
-                    terms.pop(n, None)
-        return LaurentScalar(terms)
+        return LaurentScalar(convolve(
+            self._terms, LaurentScalar.coerce(other)._terms, operator.add))
 
     __rmul__ = __mul__
 
@@ -219,11 +235,7 @@ class LaurentScalar:
             k = ndeg - ddeg
             quo[k] = c
             for m, g in den.items():
-                r = num.get(m + k, GR_ZERO) - c * g
-                if r:
-                    num[m + k] = r
-                else:
-                    num.pop(m + k, None)
+                add_term(num, m + k, -(c * g))
         shift = smin - omin
         return LaurentScalar({n + shift: g for n, g in quo.items()})
 

@@ -28,7 +28,6 @@ from qcalc.hopf import coproduct, tensor
 from qcalc.parser import parse
 from qcalc.presentations import (
     corrected_rule_diff,
-    eval_poly_at,
     grassmann_vs_differentials_crosscheck,
     leibniz_consistency_check,
     norm_poly,
@@ -248,10 +247,8 @@ def test_criterion_10_engine_properties():
         p = _random_poly(rng, pres, letters[pres.name], pool)
         r = _random_poly(rng, pres, letters[pres.name], pool)
         q0 = rng.choice(points)
-        assert eval_poly_at(p + r, q0) == \
-            eval_poly_at(p, q0) + eval_poly_at(r, q0)
-        assert eval_poly_at(p * r, q0) == \
-            eval_poly_at(p, q0) * eval_poly_at(r, q0)
+        assert (p + r).eval_at(q0) == p.eval_at(q0) + r.eval_at(q0)
+        assert (p * r).eval_at(q0) == p.eval_at(q0) * r.eval_at(q0)
 
     print("ACCEPTANCE 10 PASS: normal-form idempotence, grading "
           "preservation, and evaluation homomorphism each passed 1,000 "

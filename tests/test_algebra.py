@@ -13,6 +13,7 @@ from qcalc import (
     get_presentation,
     render_poly,
 )
+from qcalc.presentations import build_hq
 
 
 @pytest.fixture
@@ -100,6 +101,16 @@ def test_step_limit_argument_and_env(hq, monkeypatch):
         hq.normal_form(deep)
     monkeypatch.delenv("QCALC_STEP_LIMIT")
     assert hq.normal_form(deep)
+
+
+def test_step_limit_does_not_depend_on_cache_warmth():
+    hq = build_hq()
+    word = NCPoly.word(("a0", "a1", "a2", "a3", "a0", "a1"))
+    with pytest.raises(StepLimitExceeded):
+        hq.normal_form(word, step_limit=20)
+    assert hq.normal_form(word)
+    with pytest.raises(StepLimitExceeded):
+        hq.normal_form(word, step_limit=20)
 
 
 def test_trace_collects_rules_used(hq):

@@ -21,7 +21,6 @@ from qcalc.calculus import (
     verify_d_star,
     verify_omega_bar_identity,
 )
-from qcalc.presentations import eval_poly_at
 
 
 def test_differential_of_letters_and_products():

@@ -134,9 +134,6 @@ def test_leading_minus_expressions_survive_argument_parsing(capsys):
 
 
 def test_step_limit_env_is_honored(capsys, monkeypatch):
-    from qcalc import get_presentation
-    # cached reductions cost no steps, so start from a cold cache
-    get_presentation("hq")._nf_cache.clear()
     monkeypatch.setenv("QCALC_STEP_LIMIT", "2")
     code, _, err = run(capsys, "nf", "--algebra", "hq", "a0*a1*a2*a3")
     assert code == 2

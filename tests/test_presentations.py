@@ -5,7 +5,6 @@ import pytest
 from qcalc import (
     NCPoly,
     PresentationError,
-    eval_poly_at,
     get_presentation,
     render_poly,
     shipped_names,
@@ -91,10 +90,10 @@ def test_specialization_names_and_values():
         NCPoly.word(("a1", "a0"), universe=cl.name)
 
 
-def test_eval_poly_at_specializes_coefficients():
+def test_eval_at_specializes_coefficients():
     hq = get_presentation("hq")
     nf = hq.normal_form(NCPoly.word(("a0", "a1")))
-    cl = eval_poly_at(nf, 1)
+    cl = nf.eval_at(1)
     assert cl == NCPoly.word(("a1", "a0"))
 
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from qcalc import GaussRational, LaurentScalar, parse_scalar
-from qcalc.scalar import ScalarParseError
+from qcalc.hopf import TensorPoly, _join_legs
+from qcalc.scalar import ScalarParseError, add_term, convolve
 
 
 def test_gauss_rational_arithmetic():
@@ -117,3 +118,32 @@ def test_parse_scalar_rejects_malformed_input():
         parse_scalar("(q + 1")
     with pytest.raises(ScalarParseError):
         parse_scalar("q + a0")
+
+
+def test_add_term_never_stores_a_zero():
+    acc = {}
+    add_term(acc, "x", LaurentScalar.zero())
+    assert acc == {}
+
+
+def test_add_term_deletes_a_cancelling_key():
+    acc = {"x": LaurentScalar.q_power(1)}
+    add_term(acc, "x", -LaurentScalar.q_power(1))
+    assert acc == {}
+
+
+def test_add_term_keeps_first_insertion_order():
+    one = LaurentScalar.one()
+    acc = {}
+    for key in ("x", "y", "z", "x"):
+        add_term(acc, key, one)
+    assert list(acc) == ["x", "y", "z"]
+    assert acc["x"] == 2
+
+
+def test_convolve_with_legwise_join_is_tensor_multiplication():
+    q = LaurentScalar.q_power(1)
+    left = TensorPoly({(("a0",), ()): q, ((), ("a1",)): 2})
+    right = TensorPoly({(("a1",), ("a2",)): 3, (("a0",), ()): -q})
+    product = convolve(left.terms, right.terms, _join_legs)
+    assert TensorPoly(product) == left * right

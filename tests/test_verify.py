@@ -1,3 +1,5 @@
+from pathlib import Path
+
 from qcalc.verify import SUITES, build_checks, run_suite
 
 
@@ -40,3 +42,7 @@ def test_full_suite_executes_and_renders_every_check():
     assert report.counts() == {"pass": 184, "fail": 0, "finding": 19}
     assert not report.failed
     assert all(isinstance(c.residual, str) for c in report.checks)
+    # the report must stay byte-identical to the benchmark's verify oracle
+    expected = (Path(__file__).resolve().parents[1]
+                / "perfbench" / "expected" / "verify_all.json")
+    assert report.to_json(volatile=False) == expected.read_text()
