@@ -2,14 +2,21 @@
 
 GaussRational is an exact complex rational a + b*i.  LaurentScalar is a
 sparse Laurent polynomial in the real invertible parameter q with
-GaussRational coefficients.  Everything is Fraction-backed and exact; no
-floating point enters anywhere.  Canonical form never stores a zero
-coefficient, so structural equality is mathematical equality.
+Gaussian rational coefficients, stored the way FLINT's fmpq_poly stores a
+rational polynomial: integer numerators over one common denominator.  Its
+real and imaginary numerators are two maps from q-exponents to ints,
+sharing one positive int denominator, so ring operations are integer work.
+Canonical form stores no zero numerator, divides out the gcd of the
+denominator and all numerators and gives zero the denominator 1, so
+structural equality is mathematical equality.  GaussRational appears only
+at the API boundary: construction, items(), eval_at, divide_exact and
+rendering.  No floating point enters anywhere.
 
 add_term and convolve are the sparse-map core shared by every layer: a
-LaurentScalar maps q-exponents to GaussRationals, an NCPoly maps words to
-LaurentScalars and a TensorPoly maps tuples of words to LaurentScalars,
-and all three accumulate and multiply through these two functions.
+LaurentScalar's numerator maps take q-exponents to ints, an NCPoly maps
+words to LaurentScalars and a TensorPoly maps tuples of words to
+LaurentScalars, and all three accumulate and multiply through these two
+functions.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def add_term(acc: dict, key, c) -> None:
@@ -85,7 +93,6 @@ class GaussRational:
         return bool(self.re) or bool(self.im)
 
 
-GR_ZERO = GaussRational()
 GR_ONE = GaussRational.of(1)
 GR_I = GaussRational.of(0, 1)
 
@@ -98,19 +105,64 @@ def _promote(value) -> GaussRational:
     raise TypeError(f"cannot promote {value!r} to GaussRational")
 
 
-class LaurentScalar:
-    """Sparse Laurent polynomial in q: exponent -> GaussRational."""
+def _canonical(re: dict, im: dict, den: int) -> "LaurentScalar":
+    """The LaurentScalar (re + i*im)/den; re and im store no zero.
 
-    __slots__ = ("_terms",)
+    Divides out the gcd of den and every numerator, so equal values get
+    equal fields.
+    """
+    if den != 1:
+        if not re and not im:
+            den = 1
+        else:
+            g = gcd(den, *re.values(), *im.values())
+            if g != 1:
+                den //= g
+                re = {n: v // g for n, v in re.items()}
+                im = {n: v // g for n, v in im.items()}
+    s = object.__new__(LaurentScalar)
+    s._re, s._im, s._den = re, im, den
+    return s
+
+
+def _absorb(acc: dict, terms: dict, sign: int = 1) -> dict:
+    """acc += sign*terms in place; returns acc."""
+    for n, v in terms.items():
+        add_term(acc, n, v if sign == 1 else -v)
+    return acc
+
+
+def _scaled(terms: dict, k: int) -> dict:
+    """k*terms as a new map."""
+    return {n: v * k for n, v in terms.items()}
+
+
+class LaurentScalar:
+    """Sparse Laurent polynomial in q with Gaussian rational coefficients.
+
+    Stored as (re + i*im)/den: re and im map q-exponents to nonzero int
+    numerators, den is a positive int, the gcd of den and every numerator
+    is 1 and zero has den 1.
+    """
+
+    __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, terms=None):
-        canonical = {}
+        parts = []
+        den = 1
         if terms:
             for n, g in terms.items():
                 g = _promote(g)
                 if g:
-                    canonical[int(n)] = g
-        object.__setattr__(self, "_terms", canonical)
+                    parts.append((int(n), g))
+                    den = lcm(den, g.re.denominator, g.im.denominator)
+        # den is the lcm of reduced denominators, so no prime divides it
+        # and every numerator: the form is already canonical.
+        self._re = {n: g.re.numerator * (den // g.re.denominator)
+                    for n, g in parts if g.re}
+        self._im = {n: g.im.numerator * (den // g.im.denominator)
+                    for n, g in parts if g.im}
+        self._den = den
 
     # -- constructors ------------------------------------------------
 
@@ -132,7 +184,7 @@ class LaurentScalar:
 
     @staticmethod
     def from_rational(r) -> "LaurentScalar":
-        return LaurentScalar({0: _promote(r)})
+        return LaurentScalar({0: r})
 
     @staticmethod
     def from_gauss(g: GaussRational) -> "LaurentScalar":
@@ -142,17 +194,24 @@ class LaurentScalar:
     def coerce(value) -> "LaurentScalar":
         if isinstance(value, LaurentScalar):
             return value
-        return LaurentScalar({0: _promote(value)})
+        if isinstance(value, (int, Fraction)):
+            num = value.numerator
+            return _canonical({0: num} if num else {}, {}, value.denominator)
+        return LaurentScalar({0: value})
 
     # -- ring operations ---------------------------------------------
 
     def __add__(self, other) -> "LaurentScalar":
         if not isinstance(other, (LaurentScalar, int, Fraction, GaussRational)):
             return NotImplemented
-        terms = dict(self._terms)
-        for n, g in LaurentScalar.coerce(other)._terms.items():
-            add_term(terms, n, g)
-        return LaurentScalar(terms)
+        other = LaurentScalar.coerce(other)
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return _canonical(_absorb(dict(self._re), other._re),
+                              _absorb(dict(self._im), other._im), d1)
+        return _canonical(
+            _absorb(_scaled(self._re, d2), _scaled(other._re, d1)),
+            _absorb(_scaled(self._im, d2), _scaled(other._im, d1)), d1 * d2)
 
     __radd__ = __add__
 
@@ -167,17 +226,27 @@ class LaurentScalar:
     def __mul__(self, other) -> "LaurentScalar":
         if not isinstance(other, (LaurentScalar, int, Fraction, GaussRational)):
             return NotImplemented
-        return LaurentScalar(convolve(
-            self._terms, LaurentScalar.coerce(other)._terms, operator.add))
+        other = LaurentScalar.coerce(other)
+        a, b, c, d = self._re, self._im, other._re, other._im
+        add = operator.add
+        # (a + ib)(c + id) = (ac - bd) + i(ad + bc)
+        re = _absorb(convolve(a, c, add), convolve(b, d, add), -1)
+        im = _absorb(convolve(a, d, add), convolve(b, c, add))
+        return _canonical(re, im, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "LaurentScalar":
-        return LaurentScalar({n: -g for n, g in self._terms.items()})
+        return _canonical({n: -v for n, v in self._re.items()},
+                          {n: -v for n, v in self._im.items()}, self._den)
 
     def __pow__(self, k: int) -> "LaurentScalar":
         if k < 0:
-            raise ValueError("negative powers only defined for pure q monomials")
+            terms = self._gauss_terms()
+            if len(terms) != 1:
+                raise ValueError("negative powers only defined for monomials c*q^n")
+            (n, g), = terms.items()
+            return LaurentScalar({-n: GR_ONE / g}) ** -k
         out = LaurentScalar.one()
         for _ in range(k):
             out = out * self
@@ -186,31 +255,42 @@ class LaurentScalar:
     def __eq__(self, other) -> bool:
         if not isinstance(other, (LaurentScalar, int, Fraction, GaussRational)):
             return NotImplemented
-        return self._terms == LaurentScalar.coerce(other)._terms
+        other = LaurentScalar.coerce(other)
+        return (self._den == other._den and self._re == other._re
+                and self._im == other._im)
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items(), key=lambda kv: kv[0])))
+        return hash((frozenset(self._re.items()), frozenset(self._im.items()),
+                     self._den))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._re or self._im)
+
+    def _gauss_terms(self) -> dict:
+        """exponent -> GaussRational, the form the API hands out."""
+        den = self._den
+        return {n: GaussRational(Fraction(self._re.get(n, 0), den),
+                                 Fraction(self._im.get(n, 0), den))
+                for n in self._re.keys() | self._im.keys()}
 
     def items(self):
         """(exponent, coefficient) pairs in descending exponent order."""
-        return [(n, self._terms[n]) for n in sorted(self._terms, reverse=True)]
+        terms = self._gauss_terms()
+        return [(n, terms[n]) for n in sorted(terms, reverse=True)]
 
     def conj(self) -> "LaurentScalar":
         """Complex conjugation; q is real and stays fixed."""
-        return LaurentScalar({n: g.conj() for n, g in self._terms.items()})
+        return _canonical(dict(self._re),
+                          {n: -v for n, v in self._im.items()}, self._den)
 
     def eval_at(self, q0) -> GaussRational:
         """Exact evaluation at a nonzero rational value of q."""
         q0 = Fraction(q0)
         if q0 == 0:
             raise ValueError("q must be evaluated at a nonzero rational")
-        total = GR_ZERO
-        for n, g in self._terms.items():
-            total = total + g * GaussRational(q0 ** n, Fraction(0))
-        return total
+        re = sum(v * q0 ** n for n, v in self._re.items())
+        im = sum(v * q0 ** n for n, v in self._im.items())
+        return GaussRational(Fraction(re, self._den), Fraction(im, self._den))
 
     def divide_exact(self, other) -> "LaurentScalar | None":
         """Exact quotient self/other in Q(i)[q, q^-1], or None if not exact."""
@@ -220,10 +300,12 @@ class LaurentScalar:
         if not self:
             return LaurentScalar.zero()
         # Shift both to ordinary polynomials in q and long-divide.
-        smin = min(self._terms)
-        omin = min(other._terms)
-        num = {n - smin: g for n, g in self._terms.items()}
-        den = {n - omin: g for n, g in other._terms.items()}
+        num = self._gauss_terms()
+        den = other._gauss_terms()
+        smin = min(num)
+        omin = min(den)
+        num = {n - smin: g for n, g in num.items()}
+        den = {n - omin: g for n, g in den.items()}
         ddeg = max(den)
         dlead = den[ddeg]
         quo = {}

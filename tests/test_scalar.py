@@ -57,6 +57,21 @@ def test_laurent_power_arithmetic():
     assert s == LaurentScalar.q_power(2) + 2 * q + 1
 
 
+def test_negative_powers_of_monomials():
+    q = LaurentScalar.q_power(1)
+    assert q ** -2 == LaurentScalar.q_power(-2)
+    assert (2 * q) ** -1 == Fraction(1, 2) * LaurentScalar.q_power(-1)
+    assert (LaurentScalar.i_unit() * q) ** -1 == -LaurentScalar.i_unit() * q ** -1
+
+
+def test_negative_powers_of_sums_raise():
+    q = LaurentScalar.q_power(1)
+    with pytest.raises(ValueError):
+        (1 + q) ** -1
+    with pytest.raises(ValueError):
+        LaurentScalar.zero() ** -1
+
+
 def test_items_are_sorted_by_descending_exponent():
     s = LaurentScalar.q_power(-2) + LaurentScalar.q_power(3) + LaurentScalar.one()
     assert [n for n, _ in s.items()] == [3, 0, -2]

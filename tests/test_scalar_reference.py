@@ -1,0 +1,166 @@
+"""Differential test of LaurentScalar against a plain Fraction model.
+
+The reference stores Q(i)[q, q^-1] the obvious way, {exponent: (re, im)}
+with Fraction parts, so it shares no code with the integer-numerator,
+common-denominator layout of LaurentScalar.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from qcalc import GaussRational, LaurentScalar, parse_scalar
+
+ZERO = Fraction(0)
+
+# -- reference model ---------------------------------------------------
+
+
+def ref_clean(a):
+    return {n: c for n, c in a.items() if c != (ZERO, ZERO)}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for n, (re, im) in b.items():
+        r0, i0 = out.get(n, (ZERO, ZERO))
+        out[n] = (r0 + re, i0 + im)
+    return ref_clean(out)
+
+
+def ref_neg(a):
+    return {n: (-re, -im) for n, (re, im) in a.items()}
+
+
+def ref_conj(a):
+    return {n: (re, -im) for n, (re, im) in a.items()}
+
+
+def ref_mul(a, b):
+    out = {}
+    for n, (ar, ai) in a.items():
+        for m, (br, bi) in b.items():
+            r0, i0 = out.get(n + m, (ZERO, ZERO))
+            out[n + m] = (r0 + ar * br - ai * bi, i0 + ar * bi + ai * br)
+    return ref_clean(out)
+
+
+def ref_eval(a, q0):
+    return (sum((re * q0 ** n for n, (re, _) in a.items()), ZERO),
+            sum((im * q0 ** n for n, (_, im) in a.items()), ZERO))
+
+
+def to_scalar(a):
+    return LaurentScalar({n: GaussRational(re, im) for n, (re, im) in a.items()})
+
+
+def as_ref(x):
+    return {n: (g.re, g.im) for n, g in x.items()}
+
+
+# -- random inputs -----------------------------------------------------
+
+DENOMINATORS = (1, 2, 3, 4, 6, 9)
+
+
+def random_part(rng):
+    return Fraction(rng.randint(-4, 4), rng.choice(DENOMINATORS))
+
+
+def random_ref(rng):
+    return ref_clean({rng.randint(-3, 3): (random_part(rng), random_part(rng))
+                      for _ in range(rng.randint(0, 3))})
+
+
+def pairs(count=500, seed=20011):
+    rng = random.Random(seed)
+    return [(random_ref(rng), random_ref(rng)) for _ in range(count)]
+
+
+def assert_canonical(x):
+    numerators = [*x._re.values(), *x._im.values()]
+    assert x._den > 0
+    assert all(numerators)
+    assert gcd(x._den, *numerators) == 1
+    if not x:
+        assert x._den == 1 and not x._re and not x._im
+
+
+def assert_matches(x, ref):
+    assert_canonical(x)
+    assert as_ref(x) == ref
+    assert [n for n, _ in x.items()] == sorted(ref, reverse=True)
+    assert bool(x) == bool(ref)
+
+
+# -- tests -------------------------------------------------------------
+
+
+def test_ring_operations_match_the_fraction_model():
+    for ra, rb in pairs():
+        a, b = to_scalar(ra), to_scalar(rb)
+        assert_matches(a, ra)
+        assert_matches(a + b, ref_add(ra, rb))
+        assert_matches(a - b, ref_add(ra, ref_neg(rb)))
+        assert_matches(a * b, ref_mul(ra, rb))
+        assert_matches(-a, ref_neg(ra))
+        assert_matches(a.conj(), ref_conj(ra))
+        assert (a == b) == (ra == rb)
+        assert a + b - b == a
+        assert hash(a + b - b) == hash(a)
+
+
+def test_evaluation_matches_the_fraction_model():
+    for ra, _ in pairs():
+        a = to_scalar(ra)
+        for q0 in (2, Fraction(2, 3)):
+            g = a.eval_at(q0)
+            assert (g.re, g.im) == ref_eval(ra, Fraction(q0))
+
+
+def test_divide_exact_matches_the_fraction_model():
+    q_minus_2 = {1: (Fraction(1), ZERO), 0: (Fraction(-2), ZERO)}
+    for ra, rb in pairs():
+        a, b = to_scalar(ra), to_scalar(rb)
+        if rb:
+            quotient = (a * b).divide_exact(b)
+            assert_matches(quotient, ra)
+            # q - 2 divides (q - 2)*b, which has a root at q = 2 that a lacks.
+            divisor = to_scalar(ref_mul(q_minus_2, rb))
+            if ref_eval(ra, Fraction(2)) != (ZERO, ZERO):
+                assert a.divide_exact(divisor) is None
+
+
+def test_render_round_trips_through_the_parser():
+    for ra, rb in pairs():
+        for x in (to_scalar(ra), to_scalar(ref_mul(ra, rb))):
+            assert parse_scalar(x.render()) == x
+
+
+def test_one_third_times_three_is_one_over_one():
+    s = 3 * LaurentScalar.from_rational(Fraction(1, 3))
+    assert s == 1
+    assert s._den == 1
+    assert_canonical(s)
+
+
+def test_equal_values_hash_equal():
+    sixth = LaurentScalar.from_rational(Fraction(1, 6))
+    third = LaurentScalar.from_rational(Fraction(1, 3))
+    half = LaurentScalar.from_rational(Fraction(1, 2))
+    assert sixth + third == half
+    assert hash(sixth + third) == hash(half)
+
+
+def test_gaussian_norm_of_half_plus_half_i():
+    z = LaurentScalar({0: GaussRational.of(Fraction(1, 2), Fraction(1, 2))})
+    product = z * z.conj()
+    assert product == Fraction(1, 2)
+    assert_canonical(product)
+
+
+@pytest.mark.parametrize("value", [0, 5, Fraction(-4, 6), GaussRational.of(0, 0)])
+def test_coerced_constants_are_canonical(value):
+    assert_canonical(LaurentScalar.coerce(value))
