@@ -79,6 +79,15 @@ class NCPoly:
         self.terms = canonical
         self.universe = universe
 
+    @staticmethod
+    def _of(terms: dict, universe=None) -> "NCPoly":
+        """Wrap a map that is already canonical: tuple words, nonzero
+        LaurentScalar coefficients.  The map is stored, not copied."""
+        p = object.__new__(NCPoly)
+        p.terms = terms
+        p.universe = universe
+        return p
+
     # -- constructors ------------------------------------------------
 
     @staticmethod
@@ -117,7 +126,7 @@ class NCPoly:
         terms = dict(self.terms)
         for w, c in other.terms.items():
             add_term(terms, w, c)
-        return NCPoly(terms, self._merge_universe(other))
+        return NCPoly._of(terms, self._merge_universe(other))
 
     __radd__ = __add__
 
@@ -130,14 +139,14 @@ class NCPoly:
         return NCPoly.scalar(other) + (-self)
 
     def __neg__(self) -> "NCPoly":
-        return NCPoly({w: -c for w, c in self.terms.items()}, self.universe)
+        return NCPoly._of({w: -c for w, c in self.terms.items()}, self.universe)
 
     def __mul__(self, other) -> "NCPoly":
         if not isinstance(other, NCPoly):
             c = LaurentScalar.coerce(other)
             return NCPoly({w: v * c for w, v in self.terms.items()}, self.universe)
         terms = convolve(self.terms, other.terms, operator.add)
-        return NCPoly(terms, self._merge_universe(other))
+        return NCPoly._of(terms, self._merge_universe(other))
 
     def __rmul__(self, other) -> "NCPoly":
         # Scalars commute with everything; words never reach here.
@@ -301,7 +310,7 @@ class Presentation:
         for w, c in sorted(p.terms.items(), key=lambda kv: self.word_sort_key(kv[0])):
             for nw, nc in self._nf_word(w, budget, trace).items():
                 add_term(out, nw, nc * c)
-        return NCPoly(out, p.universe)
+        return NCPoly._of(out, p.universe)
 
     def _charge(self, budget, steps):
         if steps > budget[0]:

@@ -30,6 +30,7 @@ from .presentations import (
     qp,
     rat,
 )
+from .scalar import add_term
 
 __all__ = [
     "VectorField",
@@ -426,13 +427,14 @@ class VectorField:
     action: dict = field(default_factory=dict)
 
     def __call__(self, p: NCPoly) -> NCPoly:
-        out = NCPoly.zero()
+        out = {}
         for w, c in p.terms.items():
             img = self.action.get(w)
             if img is None:
                 raise KeyError(f"{self.label} is not tabulated on {w}")
-            out = out + NCPoly.scalar(c) * img
-        return out
+            for v, d in img.terms.items():
+                add_term(out, v, c * d)
+        return NCPoly._of(out)
 
 
 def coordinate_frame_coefficients(f: NCPoly, classical: bool = False) -> dict:
@@ -471,7 +473,33 @@ def _monomial_basis(cap: int):
         yield from fresh
 
 
-_frame_cache: dict = {}
+def _frame_parts(cap: int, classical: bool = False) -> dict:
+    """The frame parts of df, df = sum_k w_k*f_k, built one letter at a time.
+
+    Returns {word: {w_k: f_k(word)}} for the empty word and every word of
+    _monomial_basis(cap).  Write da = sum_m w_m*g_m(a), g_m(a) the signed
+    letter of _DA_ROWS, and read a*w_k = sum_m w_m*c_km(a) off the
+    cartan_maurer rule for (a, w_k).  Leibniz, d(a*u) = da*u + a*du, gives
+
+        f_m(a*u) = g_m(a)*u + sum_k c_km(a)*f_k(u),
+
+    reduced in the coordinate sector.  The tail u of a normal word is
+    normal and shorter, so basis order has tabulated it already.  The
+    frame presentation has no failing overlaps, so by Bergman's Diamond
+    Lemma every df has one normal form whichever path computes it: each
+    entry equals coordinate_frame_coefficients of its word.
+    """
+    cm = get_presentation(("classical-" if classical else "") + "cartan_maurer")
+    table = {(): {k: NCPoly.zero() for k in W}}
+    for word in _monomial_basis(cap):
+        aid, tail = word[0], word[1:]
+        acc = {m: {(bid,) + tail: rat(sgn)} for m, bid, sgn in _DA_ROWS[aid]}
+        for k, fk in table[tail].items():
+            for (m, bid), c in cm.rules[aid, k].terms.items():
+                for v, d in fk.terms.items():
+                    add_term(acc[m], (bid,) + v, c * d)
+        table[word] = {m: cm.normal_form(NCPoly._of(t)) for m, t in acc.items()}
+    return table
 
 
 def extract_vector_fields(cap: int, convention: str = "bracket",
@@ -486,25 +514,13 @@ def extract_vector_fields(cap: int, convention: str = "bracket",
         raise ValueError(f"unknown convention {convention!r}")
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    signs = {"w0": ONE, "w1": -ONE, "w2": ONE, "w3": -ONE}
-    half = rat(1, 2)
+    scale = {"w0": ONE, "w1": -ONE, "w2": ONE, "w3": -ONE}
+    if convention == "printed":
+        scale = {k: rat(1, 2) * s for k, s in scale.items()}
     fields = {k: VectorField(label=f"nabla{j}") for j, k in enumerate(W)}
-    basis = [()] + list(_monomial_basis(cap))
-    for word in basis:
-        if not word:
-            for k in W:
-                fields[k].action[word] = NCPoly.zero()
-            continue
-        parts = _frame_cache.get((word, classical))
-        if parts is None:
-            parts = coordinate_frame_coefficients(
-                NCPoly.word(word), classical=classical)
-            _frame_cache[(word, classical)] = parts
+    for word, parts in _frame_parts(cap, classical).items():
         for k in W:
-            img = signs[k] * parts[k]
-            if convention == "printed":
-                img = half * img
-            fields[k].action[word] = img
+            fields[k].action[word] = scale[k] * parts[k]
     return tuple(fields[k] for k in W)
 
 

@@ -137,6 +137,20 @@ def _scaled(terms: dict, k: int) -> dict:
     return {n: v * k for n, v in terms.items()}
 
 
+def _times_monomial(x: "LaurentScalar", m: "LaurentScalar") -> "LaurentScalar":
+    """x*m for m = r*q^n or i*r*q^n: shift x's exponents by n, scale by r."""
+    if m._re:
+        (n, r), = m._re.items()
+        re = {e + n: v * r for e, v in x._re.items()}
+        im = {e + n: v * r for e, v in x._im.items()}
+    else:
+        # (a + ib)*(i*r) = -b*r + i*a*r
+        (n, r), = m._im.items()
+        re = {e + n: -v * r for e, v in x._im.items()}
+        im = {e + n: v * r for e, v in x._re.items()}
+    return _canonical(re, im, x._den * m._den)
+
+
 class LaurentScalar:
     """Sparse Laurent polynomial in q with Gaussian rational coefficients.
 
@@ -227,6 +241,10 @@ class LaurentScalar:
         if not isinstance(other, (LaurentScalar, int, Fraction, GaussRational)):
             return NotImplemented
         other = LaurentScalar.coerce(other)
+        if len(other._re) + len(other._im) == 1:
+            return _times_monomial(self, other)
+        if len(self._re) + len(self._im) == 1:
+            return _times_monomial(other, self)
         a, b, c, d = self._re, self._im, other._re, other._im
         add = operator.add
         # (a + ib)(c + id) = (ac - bd) + i(ad + bc)

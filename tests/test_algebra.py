@@ -1,4 +1,6 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -57,6 +59,34 @@ def test_map_and_eval_coefficients():
     at2 = p.eval_at(2)
     assert at2 == NCPoly.word(("x",), i * 2) + NCPoly.scalar(4)
     assert p.map_coeffs(lambda c: c * 0) == 0
+
+
+def assert_canonical_map(p):
+    for w, c in p.terms.items():
+        assert type(w) is tuple, w
+        assert isinstance(c, LaurentScalar) and c, (w, c)
+
+
+@pytest.mark.parametrize("name", ["hq", "dga"])
+def test_every_result_stores_a_canonical_map(name):
+    pres = get_presentation(name)
+    letters = pres.generator_ids()
+    q, i = LaurentScalar.q_power(1), LaurentScalar.i_unit()
+    scalars = [0, 1, -2, Fraction(1, 3), q, -i, q + i, LaurentScalar.zero()]
+    rng = random.Random(20017)
+
+    def random_poly():
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            word = [rng.choice(letters) for _ in range(rng.randint(0, 2))]
+            terms[tuple(word)] = rng.choice(scalars)
+        return NCPoly(terms, pres.name)
+
+    for _ in range(60):
+        a, b, c = random_poly(), random_poly(), rng.choice(scalars)
+        for result in (a + b, a - b, a - a, -a, a * b, a * c, c * a, a * 0,
+                       pres.normal_form(a * b), pres.normal_form(a - a)):
+            assert_canonical_map(result)
 
 
 def test_normal_form_reorders_the_commuting_pair(hq):

@@ -3,6 +3,8 @@ import pytest
 from qcalc import NCPoly, PresentationError, get_presentation, render_poly
 from qcalc.calculus import (
     OMEGA_BAR_CANDIDATES,
+    _frame_parts,
+    _monomial_basis,
     cartan_maurer_d,
     conversion_closure_residuals,
     coordinate_frame_coefficients,
@@ -21,6 +23,7 @@ from qcalc.calculus import (
     verify_d_star,
     verify_omega_bar_identity,
 )
+from qcalc.presentations import rat
 
 
 def test_differential_of_letters_and_products():
@@ -100,6 +103,26 @@ def test_frame_coefficients_of_the_first_coordinate():
     assert parts["w1"] == -a["a1"]
     assert parts["w2"] == -a["a2"]
     assert parts["w3"] == -a["a3"]
+
+
+@pytest.mark.parametrize("cap,classical", [(4, False), (5, True)])
+def test_incremental_frame_table_matches_the_per_word_conversion(cap, classical):
+    table = _frame_parts(cap, classical)
+    basis = list(_monomial_basis(cap))
+    assert list(table) == [()] + basis
+    for word in basis:
+        oracle = coordinate_frame_coefficients(NCPoly.word(word), classical)
+        for k in ("w0", "w1", "w2", "w3"):
+            assert table[word][k].terms == oracle[k].terms, (word, k)
+
+
+def test_printed_vector_fields_are_half_the_bracket_ones():
+    half = rat(1, 2)
+    for bracket, printed in zip(extract_vector_fields(2, "bracket"),
+                                extract_vector_fields(2, "printed")):
+        assert printed.action.keys() == bracket.action.keys()
+        for word, img in bracket.action.items():
+            assert printed.action[word].terms == (half * img).terms, word
 
 
 def test_two_form_table_and_its_printed_variant():

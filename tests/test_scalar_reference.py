@@ -79,6 +79,40 @@ def pairs(count=500, seed=20011):
     return [(random_ref(rng), random_ref(rng)) for _ in range(count)]
 
 
+def random_monomial(rng):
+    """A one-term operand, as (reference, operand): r*q^n, i*r*q^n, an int
+    or a Fraction, with r nonzero."""
+    n = rng.randint(-3, 3)
+    r = random_part(rng) or Fraction(1, rng.choice(DENOMINATORS))
+    kind = rng.choice(("real", "imaginary", "int", "fraction"))
+    if kind == "real":
+        ref = {n: (r, ZERO)}
+    elif kind == "imaginary":
+        ref = {n: (ZERO, r)}
+    elif kind == "int":
+        value = rng.choice((-3, -2, -1, 1, 2, 5))
+        return {0: (Fraction(value), ZERO)}, value
+    else:
+        return {0: (r, ZERO)}, r
+    return ref, to_scalar(ref)
+
+
+def monomial_pairs(count=600, seed=20013):
+    """Pairs (ref_a, a, ref_b, b), about half with a one-term a; b is a
+    LaurentScalar, so a*b and b*a put the one-term operand on each side."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            ra, a = random_monomial(rng)
+        else:
+            ra = random_ref(rng)
+            a = to_scalar(ra)
+        rb = random_ref(rng)
+        out.append((ra, a, rb, to_scalar(rb)))
+    return out
+
+
 def assert_canonical(x):
     numerators = [*x._re.values(), *x._im.values()]
     assert x._den > 0
@@ -110,6 +144,17 @@ def test_ring_operations_match_the_fraction_model():
         assert (a == b) == (ra == rb)
         assert a + b - b == a
         assert hash(a + b - b) == hash(a)
+
+
+def test_products_with_a_one_term_operand_match_the_fraction_model():
+    draws = monomial_pairs()
+    one_term = sum(1 for ra, _, rb, _ in draws
+                   if len(ra) == 1 or len(rb) == 1)
+    assert 3 * one_term >= len(draws)
+    for ra, a, rb, b in draws:
+        want = ref_mul(ra, rb)
+        assert_matches(a * b, want)
+        assert_matches(b * a, want)
 
 
 def test_evaluation_matches_the_fraction_model():
