@@ -540,7 +540,18 @@ def verify_lie_algebra(cap: int, mode: str, convention: str = "bracket"):
     mode evaluates the deformed relations.  Returns a list of records
     with any violating monomials; empty failure lists mean the relation
     holds on the sampled module.
+
+    The fields are tabulated only up to cap because every frame part
+    keeps the length of its word.  In f_m(a*u) = g_m(a)*u +
+    sum_k c_km(a)*f_k(u) (see _frame_parts) g_m(a) is one letter and
+    each c_km(a) is one coordinate letter, and the frame presentation is
+    degree-homogeneous, so by induction on length each n_i maps degree-d
+    words to degree-d normal words.  Every composition n_i(n_j(p)) in
+    the rows therefore stays inside the table; were it ever to leave it,
+    VectorField raises KeyError rather than answer differently.
     """
+    if cap < 0:
+        raise ValueError(f"verify_lie_algebra cap must be at least 0, got {cap}")
     classical = mode == "classical"
     if mode not in ("classical", "quantum"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -548,7 +559,7 @@ def verify_lie_algebra(cap: int, mode: str, convention: str = "bracket"):
     hq = get_presentation(prefix + "hq")
     reducer = hq.normal_form
     n0, n1, n2, n3 = extract_vector_fields(
-        cap + 2, convention=convention, classical=classical)
+        max(cap, 1), convention=convention, classical=classical)
     monomials = [()] + list(_monomial_basis(cap))
     records = []
 

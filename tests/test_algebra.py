@@ -197,7 +197,8 @@ def test_grade_and_degree_bookkeeping():
 
 
 def test_degree_homogeneity_flag():
-    assert get_presentation("hq").is_degree_homogeneous()
+    for name in ("hq", "classical-hq", "cartan_maurer", "classical-cartan_maurer"):
+        assert get_presentation(name).is_degree_homogeneous(), name
     # the unit sector rewrites two-letter words to single letters
     assert not get_presentation("units").is_degree_homogeneous()
 

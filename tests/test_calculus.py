@@ -1,5 +1,6 @@
 import pytest
 
+import qcalc.calculus
 from qcalc import NCPoly, PresentationError, get_presentation, render_poly
 from qcalc.calculus import (
     OMEGA_BAR_CANDIDATES,
@@ -21,6 +22,7 @@ from qcalc.calculus import (
     star_table,
     unit_norm_extension,
     verify_d_star,
+    verify_lie_algebra,
     verify_omega_bar_identity,
 )
 from qcalc.presentations import rat
@@ -114,6 +116,49 @@ def test_incremental_frame_table_matches_the_per_word_conversion(cap, classical)
         oracle = coordinate_frame_coefficients(NCPoly.word(word), classical)
         for k in ("w0", "w1", "w2", "w3"):
             assert table[word][k].terms == oracle[k].terms, (word, k)
+            # frame parts keep word length, so verify_lie_algebra's
+            # compositions never leave a table tabulated to its cap
+            assert all(len(v) == len(word) for v in table[word][k].terms), (word, k)
+
+
+def _lie_rows(records):
+    return [(row["relation"], row["convention"],
+             [(w, val.terms) for w, val in row["failures"]])
+            for row in records]
+
+
+@pytest.mark.parametrize("cap,mode", [(2, "quantum"), (3, "classical")])
+@pytest.mark.parametrize("convention", ["bracket", "printed"])
+def test_lie_rows_match_a_table_two_degrees_deeper(monkeypatch, cap, mode,
+                                                   convention):
+    rows = _lie_rows(verify_lie_algebra(cap, mode, convention))
+    deeper = qcalc.calculus.extract_vector_fields
+    monkeypatch.setattr(qcalc.calculus, "extract_vector_fields",
+                        lambda c, **kw: deeper(c + 2, **kw))
+    assert rows == _lie_rows(verify_lie_algebra(cap, mode, convention))
+
+
+@pytest.mark.parametrize("cap", [-1, -2])
+@pytest.mark.parametrize("mode", ["quantum", "classical"])
+def test_lie_algebra_rejects_a_negative_cap(cap, mode):
+    with pytest.raises(ValueError, match="verify_lie_algebra cap"):
+        verify_lie_algebra(cap, mode)
+
+
+@pytest.mark.parametrize("mode", ["quantum", "classical"])
+def test_lie_algebra_at_cap_zero_checks_the_constant_monomial(monkeypatch, mode):
+    seen = []
+    evaluate = qcalc.calculus._operator_residual
+
+    def spy(expr, monomials, reducer):
+        seen.append(list(monomials))
+        return evaluate(expr, monomials, reducer)
+
+    monkeypatch.setattr(qcalc.calculus, "_operator_residual", spy)
+    records = verify_lie_algebra(0, mode)
+    assert len(records) == 6
+    assert all(row["failures"] == [] for row in records)
+    assert seen == [[()]] * 6
 
 
 def test_printed_vector_fields_are_half_the_bracket_ones():
