@@ -17,6 +17,15 @@ LaurentScalar's numerator maps take q-exponents to ints, an NCPoly maps
 words to LaurentScalars and a TensorPoly maps tuples of words to
 LaurentScalars, and all three accumulate and multiply through these two
 functions.
+
+A product picks one of four paths by the shape of its factors: a factor
+equal to 1 hands back the other factor itself; a one-term factor r*q^n
+or i*r*q^n shifts and scales the other (_times_monomial); two factors
+that are each purely real or purely imaginary need one convolve; only a
+factor with both parts takes the general four-convolve product.  Handing
+back a factor is safe because a LaurentScalar is immutable: nothing
+writes to _re or _im after _canonical or __init__ builds them, and every
+operation that reuses a map copies it first.
 """
 
 from __future__ import annotations
@@ -56,7 +65,12 @@ def convolve(left: dict, right: dict, join) -> dict:
 
 @dataclass(frozen=True)
 class GaussRational:
-    """a + b*i with Fraction parts; i*i = -1, conjugation negates b."""
+    """a + b*i with Fraction parts; i*i = -1, conjugation negates b.
+
+    Arithmetic promotes an int or Fraction operand and returns
+    NotImplemented for any other type, so a LaurentScalar or NCPoly on
+    the other side runs its reflected operation.
+    """
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
@@ -65,22 +79,44 @@ class GaussRational:
     def of(re, im=0) -> "GaussRational":
         return GaussRational(Fraction(re), Fraction(im))
 
-    def __add__(self, other: "GaussRational") -> "GaussRational":
+    def __add__(self, other) -> "GaussRational":
+        other = _as_gauss(other)
+        if other is None:
+            return NotImplemented
         return GaussRational(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "GaussRational") -> "GaussRational":
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "GaussRational":
+        other = _as_gauss(other)
+        if other is None:
+            return NotImplemented
         return GaussRational(self.re - other.re, self.im - other.im)
 
-    def __mul__(self, other: "GaussRational") -> "GaussRational":
+    def __rsub__(self, other) -> "GaussRational":
+        other = _as_gauss(other)
+        if other is None:
+            return NotImplemented
+        return GaussRational(other.re - self.re, other.im - self.im)
+
+    def __mul__(self, other) -> "GaussRational":
+        other = _as_gauss(other)
+        if other is None:
+            return NotImplemented
         return GaussRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
+    __rmul__ = __mul__
+
     def __neg__(self) -> "GaussRational":
         return GaussRational(-self.re, -self.im)
 
-    def __truediv__(self, other: "GaussRational") -> "GaussRational":
+    def __truediv__(self, other) -> "GaussRational":
+        other = _as_gauss(other)
+        if other is None:
+            return NotImplemented
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussRational")
@@ -92,17 +128,27 @@ class GaussRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
+    def __hash__(self) -> int:
+        # A real value hashes like its Fraction, as LaurentScalar
+        # constants do, so values that compare equal hash equal.
+        return hash((self.re, self.im)) if self.im else hash(self.re)
+
 
 GR_ONE = GaussRational.of(1)
 GR_I = GaussRational.of(0, 1)
 
 
-def _promote(value) -> GaussRational:
+def _as_gauss(value) -> GaussRational | None:
+    """value as a GaussRational if it is one, an int or a Fraction."""
     if isinstance(value, GaussRational):
         return value
     if isinstance(value, (int, Fraction)):
         return GaussRational(Fraction(value), Fraction(0))
-    raise TypeError(f"cannot promote {value!r} to GaussRational")
+    return None
+
+
+# The numerator map of the constant 1 (with den 1 and no imaginary part).
+_UNIT = {0: 1}
 
 
 def _canonical(re: dict, im: dict, den: int) -> "LaurentScalar":
@@ -165,8 +211,10 @@ class LaurentScalar:
         parts = []
         den = 1
         if terms:
-            for n, g in terms.items():
-                g = _promote(g)
+            for n, value in terms.items():
+                g = _as_gauss(value)
+                if g is None:
+                    raise TypeError(f"cannot promote {value!r} to GaussRational")
                 if g:
                     parts.append((int(n), g))
                     den = lcm(den, g.re.denominator, g.im.denominator)
@@ -241,16 +289,32 @@ class LaurentScalar:
         if not isinstance(other, (LaurentScalar, int, Fraction, GaussRational)):
             return NotImplemented
         other = LaurentScalar.coerce(other)
-        if len(other._re) + len(other._im) == 1:
-            return _times_monomial(self, other)
-        if len(self._re) + len(self._im) == 1:
-            return _times_monomial(other, self)
         a, b, c, d = self._re, self._im, other._re, other._im
+        # Four paths by the shape of the factors (see the module
+        # docstring).  Handing back a factor is safe because nothing
+        # mutates _re or _im once _canonical has built them.
+        if c == _UNIT and other._den == 1 and not d:
+            return self
+        if a == _UNIT and self._den == 1 and not b:
+            return other
+        if len(c) + len(d) == 1:
+            return _times_monomial(self, other)
+        if len(a) + len(b) == 1:
+            return _times_monomial(other, self)
+        den = self._den * other._den
+        if not (a and b or c and d):
+            # Each factor purely real or purely imaginary (or zero).
+            prod = convolve(a or b, c or d, operator.add)
+            if not (b or d):
+                return _canonical(prod, {}, den)
+            if not (a or c):
+                return _canonical(_scaled(prod, -1), {}, den)
+            return _canonical({}, prod, den)
         add = operator.add
         # (a + ib)(c + id) = (ac - bd) + i(ad + bc)
         re = _absorb(convolve(a, c, add), convolve(b, d, add), -1)
         im = _absorb(convolve(a, d, add), convolve(b, c, add))
-        return _canonical(re, im, self._den * other._den)
+        return _canonical(re, im, den)
 
     __rmul__ = __mul__
 
@@ -278,6 +342,10 @@ class LaurentScalar:
                 and self._im == other._im)
 
     def __hash__(self) -> int:
+        if self._re.keys() <= {0} and self._im.keys() <= {0}:
+            # A constant hashes like the equal int, Fraction or
+            # GaussRational, as __eq__ requires.
+            return hash(self._gauss_terms().get(0, GaussRational()))
         return hash((frozenset(self._re.items()), frozenset(self._im.items()),
                      self._den))
 

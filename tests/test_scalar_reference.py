@@ -113,6 +113,46 @@ def monomial_pairs(count=600, seed=20013):
     return out
 
 
+SHAPES = ("real", "imaginary", "one", "minus_one", "i", "monomial", "mixed")
+
+
+def random_shaped(rng, shape):
+    """A random reference value of the given shape: purely real, purely
+    imaginary, exactly 1, -1, i, c*q^n with c real or imaginary, or a sum
+    with both parts."""
+    if shape == "one":
+        return {0: (Fraction(1), ZERO)}
+    if shape == "minus_one":
+        return {0: (Fraction(-1), ZERO)}
+    if shape == "i":
+        return {0: (ZERO, Fraction(1))}
+    if shape == "monomial":
+        r = random_part(rng) or Fraction(1, rng.choice(DENOMINATORS))
+        part = (r, ZERO) if rng.random() < 0.5 else (ZERO, r)
+        return {rng.randint(-3, 3): part}
+    if shape == "mixed":
+        n = rng.randint(-3, 3)
+        out = random_ref(rng)
+        out[n] = (random_part(rng) or Fraction(1),
+                  random_part(rng) or Fraction(-1, 2))
+        return out
+    out = {}
+    for _ in range(rng.randint(0, 4)):
+        r = random_part(rng)
+        out[rng.randint(-3, 3)] = (r, ZERO) if shape == "real" else (ZERO, r)
+    return ref_clean(out)
+
+
+def shaped_pairs(count=800, seed=20017):
+    """Pairs (shape_a, ref_a, shape_b, ref_b) over every pair of SHAPES."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        sa, sb = rng.choice(SHAPES), rng.choice(SHAPES)
+        out.append((sa, random_shaped(rng, sa), sb, random_shaped(rng, sb)))
+    return out
+
+
 def assert_canonical(x):
     numerators = [*x._re.values(), *x._im.values()]
     assert x._den > 0
@@ -155,6 +195,29 @@ def test_products_with_a_one_term_operand_match_the_fraction_model():
         want = ref_mul(ra, rb)
         assert_matches(a * b, want)
         assert_matches(b * a, want)
+
+
+def test_products_by_factor_shape_match_the_fraction_model():
+    draws = shaped_pairs()
+    seen = {(sa, sb) for sa, _, sb, _ in draws}
+    assert len(seen) == len(SHAPES) ** 2
+    for _, ra, _, rb in draws:
+        a, b = to_scalar(ra), to_scalar(rb)
+        want = ref_mul(ra, rb)
+        assert_matches(a * b, want)
+        assert_matches(b * a, want)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_multiplying_by_one_gives_the_other_factor(shape):
+    rng = random.Random(20023)
+    one = LaurentScalar.one()
+    for _ in range(50):
+        ra = random_shaped(rng, shape)
+        x = to_scalar(ra)
+        for product in (x * 1, 1 * x, x * one, one * x, x * Fraction(1)):
+            assert product == x
+            assert_matches(product, ra)
 
 
 def test_evaluation_matches_the_fraction_model():
@@ -209,3 +272,46 @@ def test_gaussian_norm_of_half_plus_half_i():
 @pytest.mark.parametrize("value", [0, 5, Fraction(-4, 6), GaussRational.of(0, 0)])
 def test_coerced_constants_are_canonical(value):
     assert_canonical(LaurentScalar.coerce(value))
+
+
+@pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2)])
+def test_real_constants_hash_like_the_equal_number(value):
+    x = LaurentScalar.coerce(value)
+    assert x == value
+    assert hash(x) == hash(value)
+    assert len({x, value}) == 1
+    assert hash(GaussRational.of(value)) == hash(value)
+
+
+def test_gaussian_constants_hash_like_the_equal_gauss_rational():
+    g = GaussRational.of(Fraction(1, 2), -3)
+    x = LaurentScalar.from_gauss(g)
+    assert x == g and g == x
+    assert len({x, g}) == 1
+
+
+def test_gauss_rational_promotes_numbers_and_defers_to_other_types():
+    from qcalc.algebra import NCPoly
+
+    g = GaussRational.of(1, 2)
+    rg = {0: (Fraction(1), Fraction(2))}
+    x = LaurentScalar({1: GaussRational.of(Fraction(1, 3), -1),
+                       -2: GaussRational.of(2)})
+    rx = as_ref(x)
+    assert_matches(g * x, ref_mul(rg, rx))
+    assert_matches(x * g, ref_mul(rg, rx))
+    assert_matches(g + x, ref_add(rg, rx))
+    assert_matches(x + g, ref_add(rg, rx))
+    assert_matches(g - x, ref_add(rg, ref_neg(rx)))
+    assert_matches(x - g, ref_add(rx, ref_neg(rg)))
+    a0 = NCPoly.word(("a0",))
+    assert g * a0 == a0 * g == LaurentScalar.from_gauss(g) * a0
+    assert g * 2 == 2 * g == GaussRational.of(2, 4)
+    assert g + 1 == 1 + g == GaussRational.of(2, 2)
+    assert g - Fraction(1, 2) == GaussRational.of(Fraction(1, 2), 2)
+    assert Fraction(1, 2) - g == GaussRational.of(Fraction(-1, 2), -2)
+    assert g / 2 == GaussRational.of(Fraction(1, 2), 1)
+    with pytest.raises(TypeError):
+        g * "a0"
+    with pytest.raises(TypeError):
+        "a0" + g
