@@ -7,7 +7,7 @@ norm localization, the star calculus, and verification suites over
 every structural identity.
 """
 
-from .scalar import GaussRational, LaurentScalar, parse_scalar
+from .scalar import GaussRational, LaurentScalar
 from .algebra import (
     AlgebraError,
     NCPoly,
@@ -61,7 +61,7 @@ from .hopf import (
     tensor,
     verify_hopf_axioms,
 )
-from .parser import ParseError, UnknownSymbolError, parse
+from .parser import ParseError, UnknownSymbolError, parse, parse_scalar
 from .report import ENGINE_VERSION, CheckRecord, VerificationReport
 from .verify import SUITES, build_checks, run_suite
 

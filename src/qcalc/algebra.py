@@ -14,8 +14,8 @@ import operator
 import os
 from dataclasses import dataclass
 
-from .scalar import (LaurentScalar, _superscript, add_term, convolve,
-                     parse_scalar, render_signed_sum)
+from .scalar import (LaurentScalar, ScalarParseError, _superscript, add_term,
+                     convolve, render_signed_sum)
 
 Word = tuple  # tuple[str, ...]
 
@@ -417,6 +417,8 @@ class Presentation:
 
     @staticmethod
     def from_obj(obj: dict) -> "Presentation":
+        # Imported here: parser imports this module.
+        from .parser import parse_scalar
         try:
             name = obj["name"]
             gens = [Generator(g["id"], int(g["grade"]), int(g["rank"]))
@@ -428,7 +430,11 @@ class Presentation:
                     raise PresentationError(f"duplicate rule for lhs {lhs}")
                 terms = {}
                 for item in entry["rhs"]:
-                    terms[tuple(item["word"])] = parse_scalar(item["coeff"])
+                    try:
+                        terms[tuple(item["word"])] = parse_scalar(item["coeff"])
+                    except ScalarParseError as exc:
+                        raise PresentationError(f"rule for lhs {lhs}: bad coefficient "
+                                                f"{item['coeff']!r}: {exc}") from exc
                 rules[lhs] = NCPoly(terms)
         except (KeyError, TypeError) as exc:
             raise PresentationError(f"malformed presentation object: {exc}") from exc

@@ -29,6 +29,7 @@ from .presentations import (
     norm_poly,
     qp,
     rat,
+    specialize,
 )
 from .scalar import add_term
 
@@ -395,12 +396,7 @@ def recover_differentials_on_unit_sphere() -> list:
     round trip is a classical-limit consistency statement.
     """
     ext = unit_norm_extension("dga", with_norm_differential=False)
-    at_one = Presentation(
-        "classical-" + ext.name,
-        list(ext.generators),
-        {k: v.eval_at(1) for k, v in ext.rules.items()},
-        ext.description + " at q=1",
-    )
+    at_one = specialize(ext, 1, name="classical-" + ext.name)
     u = at_one.name
     forms = omega_forms()
     images = {k: NCPoly(dict(v.eval_at(1).terms), u) for k, v in forms.items()}

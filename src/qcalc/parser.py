@@ -1,4 +1,4 @@
-"""Expression parser for algebra elements.
+"""Expression parser for algebra elements and their coefficients.
 
 Grammar: `+ -` under `* /` under `^`; juxtaposition is not
 multiplication, the `*` must be written.  Exponents are integers,
@@ -6,15 +6,19 @@ nonnegative except on the scalar q.  `d(x)` is sugar for the
 differential letter dx, `N` expands to the norm, `Ninv` names the
 inverse-norm generator.  Every symbol is validated against the chosen
 universe's generator list.
+
+parse_scalar reads a coefficient of Q(i)[q, q^-1], such as the `coeff`
+strings of a presentation file, with the same grammar over a universe
+with no generators, so only q and i are names.
 """
 
 import re
 
 from .algebra import NCPoly, Presentation
-from .scalar import LaurentScalar
+from .scalar import LaurentScalar, ScalarParseError
 from .presentations import norm_poly
 
-__all__ = ["ParseError", "UnknownSymbolError", "parse"]
+__all__ = ["ParseError", "UnknownSymbolError", "parse", "parse_scalar"]
 
 
 class ParseError(ValueError):
@@ -202,9 +206,11 @@ class _Parser:
 
     @staticmethod
     def _divide(lhs: NCPoly, rhs: NCPoly, pos) -> NCPoly:
-        if list(rhs.terms) != [()]:
+        if rhs.terms.keys() - {()}:
             raise ParseError("division is only defined by scalars", pos)
-        divisor = rhs.terms[()]
+        divisor = rhs.terms.get(())
+        if not divisor:
+            raise ParseError("division by zero", pos)
         quotients = {}
         for w, c in lhs.terms.items():
             quot = c.divide_exact(divisor)
@@ -217,3 +223,15 @@ class _Parser:
 def parse(text: str, pres: Presentation) -> NCPoly:
     """Parse text to a polynomial tagged with the presentation's universe."""
     return _Parser(text, pres).parse()
+
+
+_SCALARS = Presentation("scalars", [], {}, "the coefficient ring Q(i)[q, q^-1]")
+
+
+def parse_scalar(text: str) -> LaurentScalar:
+    """Parse a coefficient text, such as a rendered LaurentScalar."""
+    try:
+        p = parse(text, _SCALARS)
+    except ParseError as exc:
+        raise ScalarParseError(str(exc)) from exc
+    return p.terms.get((), LaurentScalar.zero())

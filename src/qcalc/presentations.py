@@ -125,17 +125,8 @@ def _unit_rules():
 
 def build_units() -> Presentation:
     """Coordinate algebra tensored with the quaternion units."""
-    entries = _unit_rules()
-    for gid in A:
-        for e in E:
-            entries.append(((gid, e), L(e) * L(gid)))
-    entries += _a_sector_rules()
-    return Presentation(
-        "units",
-        _gens((["e3", "e2", "e1"], 0), (["a3", "a2", "a1", "a0"], 0)),
-        _rules(entries),
-        "q-quaternion coordinates with central quaternion units",
-    )
+    return _with_units(build_hq(), "units",
+                       "q-quaternion coordinates with central quaternion units")
 
 
 # -- differential algebra ----------------------------------------------
@@ -385,32 +376,22 @@ def build_grassmann() -> Presentation:
 # -- combined universes -------------------------------------------------
 
 def _with_units(base: Presentation, name: str, description: str) -> Presentation:
-    """Adjoin the central quaternion units to an existing presentation."""
-    gens = []
-    unit_gens = [Generator("e3", 0, 0), Generator("e2", 0, 1), Generator("e1", 0, 2)]
-    base_sorted = sorted(base.generators, key=lambda g: g.rank)
-    grade1 = [g for g in base_sorted if g.grade != 0]
-    grade0 = [g for g in base_sorted if g.grade == 0]
-    rank = 0
-    for g in grade1:
-        gens.append(Generator(g.id, g.grade, rank))
-        rank += 1
-    for g in unit_gens:
-        gens.append(Generator(g.id, 0, rank))
-        rank += 1
-    for g in grade0:
-        gens.append(Generator(g.id, g.grade, rank))
-        rank += 1
-    rules = dict(base.rules)
-    for lhs, rhs in _unit_rules():
-        rules[lhs] = rhs
-    for g in base_sorted:
+    """Adjoin the central quaternion units to an existing presentation.
+
+    The units rank after the graded generators and before the grade-0 ones.
+    """
+    ranked = sorted(base.generators, key=lambda g: g.rank)
+    groups = ([([g.id], g.grade) for g in ranked if g.grade]
+              + [(E[::-1], 0)]
+              + [([g.id], g.grade) for g in ranked if not g.grade])
+    rules = {**base.rules, **_rules(_unit_rules())}
+    for g in ranked:
         for e in E:
             if g.grade == 0:
                 rules[(g.id, e)] = L(e) * L(g.id)
             else:
                 rules[(e, g.id)] = L(g.id) * L(e)
-    return Presentation(name, gens, rules, description)
+    return Presentation(name, _gens(*groups), rules, description)
 
 
 def build_units_dga() -> Presentation:

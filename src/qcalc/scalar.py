@@ -125,6 +125,14 @@ class GaussRational:
     def conj(self) -> "GaussRational":
         return GaussRational(self.re, -self.im)
 
+    def __eq__(self, other) -> bool:
+        # Equal to the same int or Fraction, as a LaurentScalar constant
+        # is, so equality across the number types is transitive.
+        other = _as_gauss(other)
+        if other is None:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
@@ -474,134 +482,5 @@ def render_signed_sum(terms, superscripts=False) -> str:
     return "".join(out) or "0"
 
 
-# -- parsing ---------------------------------------------------------
-
 class ScalarParseError(ValueError):
-    pass
-
-
-_TOKENS = ("INT", "NAME", "OP")
-
-
-def _tokenize_scalar(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", text[i:j], i))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("NAME", text[i:j], i))
-            i = j
-        elif ch in "+-*/^()":
-            tokens.append(("OP", ch, i))
-            i += 1
-        else:
-            raise ScalarParseError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(("END", "", len(text)))
-    return tokens
-
-
-class _ScalarParser:
-    """Recursive-descent parser for the canonical scalar text form."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize_scalar(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def take(self, kind=None, value=None):
-        tok = self.toks[self.pos]
-        if kind and tok[0] != kind:
-            raise ScalarParseError(f"expected {kind} at position {tok[2]} in {self.text!r}")
-        if value and tok[1] != value:
-            raise ScalarParseError(f"expected {value!r} at position {tok[2]} in {self.text!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> LaurentScalar:
-        value = self.sum()
-        if self.peek()[0] != "END":
-            tok = self.peek()
-            raise ScalarParseError(f"trailing input at position {tok[2]} in {self.text!r}")
-        return value
-
-    def sum(self) -> LaurentScalar:
-        negate = False
-        if self.peek() == ("OP", "-", self.peek()[2]):
-            self.take()
-            negate = True
-        total = self.product()
-        if negate:
-            total = -total
-        while self.peek()[0] == "OP" and self.peek()[1] in "+-":
-            op = self.take()[1]
-            term = self.product()
-            total = total + term if op == "+" else total - term
-        return total
-
-    def product(self) -> LaurentScalar:
-        value, _ = self.power()
-        while self.peek() == ("OP", "*", self.peek()[2]):
-            self.take()
-            rhs, _ = self.power()
-            value = value * rhs
-        return value
-
-    def power(self):
-        value, is_q = self.atom()
-        if self.peek() == ("OP", "^", self.peek()[2]):
-            self.take()
-            sign = 1
-            if self.peek()[:2] == ("OP", "-"):
-                self.take()
-                sign = -1
-            n = sign * int(self.take("INT")[1])
-            if n >= 0:
-                value = value ** n
-            elif is_q:
-                value = LaurentScalar.q_power(n)
-            else:
-                raise ScalarParseError("negative exponent only allowed on q")
-            is_q = False
-        return value, is_q
-
-    def atom(self):
-        kind, text, pos = self.peek()
-        if kind == "INT":
-            self.take()
-            num = int(text)
-            if self.peek()[:2] == ("OP", "/"):
-                self.take()
-                den = int(self.take("INT")[1])
-                return LaurentScalar.from_rational(Fraction(num, den)), False
-            return LaurentScalar.from_rational(num), False
-        if kind == "NAME" and text == "i":
-            self.take()
-            return LaurentScalar.i_unit(), False
-        if kind == "NAME" and text == "q":
-            self.take()
-            return LaurentScalar.q_power(1), True
-        if (kind, text) == ("OP", "("):
-            self.take()
-            inner = self.sum()
-            self.take("OP", ")")
-            return inner, False
-        raise ScalarParseError(f"unexpected token {text!r} at position {pos} in {self.text!r}")
-
-
-def parse_scalar(text: str) -> LaurentScalar:
-    """Parse the canonical scalar rendering back into a LaurentScalar."""
-    return _ScalarParser(text).parse()
+    """A coefficient text that parser.parse_scalar rejects."""

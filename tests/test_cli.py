@@ -175,6 +175,20 @@ def test_load_reports_broken_presentations(capsys, tmp_path):
                            "64 failing overlaps")
 
 
+@pytest.mark.parametrize("coeff", ["a0", "q +", "1/0"])
+def test_load_rejects_a_bad_coefficient(capsys, tmp_path, coeff):
+    target = tmp_path / "hq.json"
+    run(capsys, "dump-presentation", "hq", "--output", str(target))
+    obj = json.loads(target.read_text())
+    rule = obj["rules"][0]
+    rule["rhs"][0]["coeff"] = coeff
+    target.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "load-presentation", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert str(tuple(rule["lhs"])) in err and repr(coeff) in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -280,7 +280,10 @@ def test_real_constants_hash_like_the_equal_number(value):
     assert x == value
     assert hash(x) == hash(value)
     assert len({x, value}) == 1
-    assert hash(GaussRational.of(value)) == hash(value)
+    g = GaussRational.of(value)
+    assert hash(g) == hash(value)
+    assert g == value and value == g
+    assert len({g, value, x}) == 1
 
 
 def test_gaussian_constants_hash_like_the_equal_gauss_rational():
