@@ -63,7 +63,7 @@ from .hopf import (
 )
 from .parser import ParseError, UnknownSymbolError, parse, parse_scalar
 from .report import ENGINE_VERSION, CheckRecord, VerificationReport
-from .verify import SUITES, build_checks, run_suite
+from .verify import SUITES, run_suite
 
 __version__ = ENGINE_VERSION
 
@@ -89,7 +89,6 @@ __all__ = [
     "VerificationReport",
     "antipode",
     "antipode_square",
-    "build_checks",
     "cartan_maurer_d",
     "classical",
     "conversion_closure_residuals",

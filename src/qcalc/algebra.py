@@ -444,7 +444,7 @@ class Presentation:
     def load_json(text: str) -> "Presentation":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also a number past the int/str limit
             raise PresentationError(f"invalid JSON: {exc}") from exc
         return Presentation.from_obj(obj)
 

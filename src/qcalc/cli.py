@@ -2,7 +2,8 @@
 
 Commands: nf, check, apply, verify, dump-presentation,
 load-presentation.  Exit codes: 0 success or equality, 1 inequality or
-failed checks, 2 usage, parse, or universe errors.
+failed checks, 2 usage, parse, or universe errors, or a coefficient too
+long to print.
 """
 
 import argparse
@@ -263,7 +264,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (CliError, ParseError, PresentationError, AlgebraError,
-            StepLimitExceeded) as exc:
+            StepLimitExceeded, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,6 +40,15 @@ class UnknownSymbolError(ParseError):
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
 
 
+def _int_literal(value, pos):
+    """The int of a digit token, within Python's int/str digit limit."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(value)} digits is longer "
+                         "than the int/str conversion limit", pos) from None
+
+
 def _tokenize(text):
     tokens = []
     pos = 0
@@ -146,7 +155,7 @@ class _Parser:
         if kind != "int":
             raise ParseError("expected an integer exponent", pos)
         self.advance()
-        return sign * int(value), pos
+        return sign * _int_literal(value, pos), pos
 
     def atom(self) -> NCPoly:
         kind, value, pos = self.peek()
@@ -157,7 +166,7 @@ class _Parser:
             return inner
         if kind == "int":
             self.advance()
-            return NCPoly.scalar(int(value), self.pres.name)
+            return NCPoly.scalar(_int_literal(value, pos), self.pres.name)
         if kind == "name":
             self.advance()
             return self._name(value, pos)

@@ -463,13 +463,20 @@ def render_signed_sum(terms, superscripts=False) -> str:
 
     Each q-power of each coefficient becomes one product, its sign pulled
     out as a " + " / " - " joiner; an empty word text is the unit word.
-    With superscripts, q exponents are written as superscripts.
+    With superscripts, q exponents are written as superscripts.  A
+    number with more digits than Python converts to text raises
+    OverflowError.
     """
     out = []
     for text, c in terms:
         for n, g in c.items():
             neg = g.re < 0 or (g.re == 0 and g.im < 0)
-            body = render_coeff_body(-g if neg else g, n, bare_unit=bool(text))
+            try:
+                body = render_coeff_body(-g if neg else g, n,
+                                         bare_unit=bool(text))
+            except ValueError as exc:  # past sys.get_int_max_str_digits()
+                raise OverflowError(
+                    f"coefficient too long to render: {exc}") from None
             if superscripts and "^" in body:
                 head, _, exp = body.rpartition("^")
                 body = head + _superscript(int(exp))

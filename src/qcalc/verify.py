@@ -1,14 +1,15 @@
 """Verification suites over the whole engine.
 
-Each suite is a list of independently runnable checks; the runner
-executes them one after another, times them, and assembles a
-deterministic report sorted by check id.  A check that contradicts its
-contract is a fail; a documented discrepancy or informational value is a
-finding and never fails a run.  Residuals are rendered in the
-presentation they were reduced in.
+Each suite is a generator that computes its checks one after another
+and yields one CheckRecord per check.  The runner sets each record's ms
+to the time since the previous check of the same suite, so a suite's
+set-up and each stage several checks share are charged to the first
+check after them, and assembles a deterministic report sorted by check
+id.  A check that contradicts its contract is a fail; a documented
+discrepancy or informational value is a finding and never fails a run.
+Residuals are rendered in the presentation they were reduced in.
 """
 
-import functools
 import random
 from time import perf_counter
 
@@ -46,7 +47,7 @@ SUITES = ("all", "hopf", "dga", "classical", "grassmann", "vector-fields")
 
 QUANTUM_FIELD_CAP = 2
 
-__all__ = ["SUITES", "QUANTUM_FIELD_CAP", "build_checks", "run_suite"]
+__all__ = ["SUITES", "QUANTUM_FIELD_CAP", "run_suite"]
 
 
 def _rendered(p, pres) -> str:
@@ -62,201 +63,151 @@ def _exactness(residual, pres):
     return "pass", "0"
 
 
-class Check:
-    __slots__ = ("id", "suite", "paper_ref", "corrections", "thunk")
-
-    def __init__(self, id, suite, paper_ref, thunk, corrections=()):
-        self.id = id
-        self.suite = suite
-        self.paper_ref = paper_ref
-        self.corrections = tuple(corrections)
-        self.thunk = thunk
-
-
 # -- differential suite ----------------------------------------------------
 
 
-def _dga_checks():
-    checks = []
+def _dga_suite(cap):
     da_fix = tuple("*".join(lhs) for lhs in corrected_rule_diff())
     dw_fix = ("dw0: quadratic term letter order",)
 
-    def confluence(name, corrections=(), expect_clean=True):
-        def thunk():
-            failures = get_presentation(name).check_local_confluence()
-            if not failures:
-                return "pass", "0"
-            status = "fail" if expect_clean else "finding"
-            return status, f"{len(failures)} failing overlaps"
-        return Check(f"confluence.{name}", "dga", "derived: overlap analysis",
-                     thunk, corrections)
-
-    for name, corr in (("hq", ()), ("units", ()), ("dga", da_fix),
-                       ("cartan_maurer", ())):
-        checks.append(confluence(name, corr))
-    checks.append(confluence("dga_literal", expect_clean=False))
+    for name in ("hq", "units", "dga", "cartan_maurer", "dga_literal"):
+        failures = get_presentation(name).check_local_confluence()
+        outcome = "pass", "0"
+        if failures:
+            outcome = ("finding" if name == "dga_literal" else "fail",
+                       f"{len(failures)} failing overlaps")
+        yield CheckRecord(f"confluence.{name}", "derived: overlap analysis",
+                          *outcome, da_fix if name == "dga" else ())
 
     hq = get_presentation("hq")
+    cl = get_presentation("classical-hq")
     for lhs in sorted(hq.rules):
-        def verbatim(lhs=lhs):
-            nf = hq.normal_form(NCPoly.word(lhs))
-            return _exactness(nf - hq.rules[lhs], hq)
-        checks.append(Check(f"relations.verbatim.{lhs[0]}.{lhs[1]}", "dga",
-                            "published coordinate relations", verbatim))
+        nf = hq.normal_form(NCPoly.word(lhs))
+        yield CheckRecord(f"relations.verbatim.{lhs[0]}.{lhs[1]}",
+                          "published coordinate relations",
+                          *_exactness(nf - hq.rules[lhs], hq))
+        nf = cl.normal_form(NCPoly.word(lhs, universe=cl.name))
+        flip = NCPoly.word((lhs[1], lhs[0]), universe=cl.name)
+        yield CheckRecord(f"relations.classical.{lhs[0]}.{lhs[1]}",
+                          "published coordinate relations at q = 1",
+                          *_exactness(nf - flip, cl))
 
-        def transposed(lhs=lhs):
-            cl = get_presentation("classical-hq")
-            nf = cl.normal_form(NCPoly.word(lhs, universe=cl.name))
-            flip = NCPoly.word((lhs[1], lhs[0]), universe=cl.name)
-            return _exactness(nf - flip, cl)
-        checks.append(Check(f"relations.classical.{lhs[0]}.{lhs[1]}", "dga",
-                            "published coordinate relations at q = 1",
-                            transposed))
-
-    # Shared stages: each runs once per build_checks call, when the first
-    # check that needs it runs, and is charged to that check.
+    # Each shared stage runs once per suite run, just before the first
+    # check that reads it, and its time is charged to that check.
     dga = get_presentation("dga")
-    leibniz_rows = functools.cache(lambda: {
-        row["lhs"]: row["residual"]
-        for row in leibniz_consistency_check(dga)})
+    leibniz_rows = {row["lhs"]: row["residual"]
+                    for row in leibniz_consistency_check(dga)}
     for lhs in sorted(dga.rules):
-        if dga.grade(lhs[0]) != 0:
-            continue
-        def leibniz(lhs=lhs):
-            return _exactness(leibniz_rows()[lhs], dga)
-        checks.append(Check(f"leibniz.corrected.{lhs[0]}.{lhs[1]}", "dga",
-                            "published mixed commutation table", leibniz,
-                            da_fix))
+        if dga.grade(lhs[0]) == 0:
+            yield CheckRecord(f"leibniz.corrected.{lhs[0]}.{lhs[1]}",
+                              "published mixed commutation table",
+                              *_exactness(leibniz_rows[lhs], dga), da_fix)
 
-    def leibniz_literal():
-        rows = leibniz_consistency_check(
-            get_presentation("dga_literal"), trace_rules=True)
-        repaired = set(corrected_rule_diff())
-        bad = [r for r in rows if r["residual"]]
-        unattributed = [r for r in bad if not (r["rules_used"] & repaired)
-                        and r["lhs"] not in repaired]
-        if unattributed:
-            return "fail", (f"{len(unattributed)} nonzero rows do not involve "
-                            "a repaired rule")
-        return "finding", (f"{len(bad)} of {len(rows)} rows nonzero, every one "
-                           "attributable to a repaired rule")
-    checks.append(Check("leibniz.literal", "dga",
-                        "published mixed commutation table as printed",
-                        leibniz_literal, da_fix))
+    rows = leibniz_consistency_check(get_presentation("dga_literal"),
+                                     trace_rules=True)
+    repaired = set(corrected_rule_diff())
+    bad = [r for r in rows if r["residual"]]
+    unattributed = [r for r in bad if not (r["rules_used"] & repaired)
+                    and r["lhs"] not in repaired]
+    if unattributed:
+        outcome = "fail", (f"{len(unattributed)} nonzero rows do not involve "
+                           "a repaired rule")
+    else:
+        outcome = "finding", (f"{len(bad)} of {len(rows)} rows nonzero, every "
+                              "one attributable to a repaired rule")
+    yield CheckRecord("leibniz.literal",
+                      "published mixed commutation table as printed",
+                      *outcome, da_fix)
 
-    nil_rows = functools.cache(lambda: dict(nilpotency_residuals()))
+    nil_rows = dict(nilpotency_residuals())
     for x in A:
         for y in A:
-            def nil(x=x, y=y):
-                return _exactness(nil_rows()[(x, y)], dga)
-            checks.append(Check(f"nilpotency.{x}.{y}", "dga",
-                                "derived: nilpotency of the differential",
-                                nil, da_fix))
+            yield CheckRecord(f"nilpotency.{x}.{y}",
+                              "derived: nilpotency of the differential",
+                              *_exactness(nil_rows[(x, y)], dga), da_fix)
 
     cm = get_presentation("cartan_maurer")
     # frame relations are reduced in dga through the frame definitions
-    one_form_rows = functools.cache(
-        lambda: dict(one_form_consistency_residuals()))
+    one_form_rows = dict(one_form_consistency_residuals())
     for lhs in sorted(cm.rules):
-        def one_form(lhs=lhs):
-            return _exactness(one_form_rows()[lhs], dga)
-        checks.append(Check(f"one_form.{lhs[0]}.{lhs[1]}", "dga",
-                            "published one-form algebra vs frame definitions",
-                            one_form, da_fix))
+        yield CheckRecord(f"one_form.{lhs[0]}.{lhs[1]}",
+                          "published one-form algebra vs frame definitions",
+                          *_exactness(one_form_rows[lhs], dga), da_fix)
 
-    closure_rows = functools.cache(
-        lambda: dict(conversion_closure_residuals()))
+    closure_rows = dict(conversion_closure_residuals())
     for aid in A:
-        def closure(aid=aid):
-            return _exactness(closure_rows()[aid], cm)
-        checks.append(Check(f"closure.corrected.{aid}", "dga",
-                            "published two-form table", closure,
-                            da_fix + dw_fix))
+        yield CheckRecord(f"closure.corrected.{aid}", "published two-form table",
+                          *_exactness(closure_rows[aid], cm), da_fix + dw_fix)
 
-    def closure_literal():
-        rows = conversion_closure_residuals(literal=True)
-        bad = [aid for aid, residual in rows if residual]
-        if len(bad) != len(rows):
-            return "fail", f"printed first row leaves only {len(bad)} nonzero rows"
-        return "finding", (f"{len(bad)} of {len(rows)} rows nonzero under the "
-                           "printed first two-form row")
-    checks.append(Check("closure.literal", "dga",
-                        "published two-form table as printed", closure_literal,
-                        da_fix))
+    rows = conversion_closure_residuals(literal=True)
+    bad = [aid for aid, residual in rows if residual]
+    if len(bad) != len(rows):
+        outcome = "fail", f"printed first row leaves only {len(bad)} nonzero rows"
+    else:
+        outcome = "finding", (f"{len(bad)} of {len(rows)} rows nonzero under "
+                              "the printed first two-form row")
+    yield CheckRecord("closure.literal", "published two-form table as printed",
+                      *outcome, da_fix)
 
     for k in range(4):
-        def dstar(k=k):
-            return _exactness(verify_d_star(k), cm)
-        checks.append(Check(f"d_star.a{k}", "dga",
-                            "published star interchange identity", dstar))
+        yield CheckRecord(f"d_star.a{k}", "published star interchange identity",
+                          *_exactness(verify_d_star(k), cm))
 
-    def worked():
-        table = star_table(cm.name)
-        rows = da_from_w()
-        target = qp(2) * rows["a0"]
-        return _exactness(
-            cm.normal_form(star(rows["a0"], table, cm) - target), cm)
-    checks.append(Check("d_star.worked_example", "dga",
-                        "published star interchange identity", worked))
+    da0 = da_from_w()["a0"]
+    residual = cm.normal_form(star(da0, star_table(cm.name), cm) - qp(2) * da0)
+    yield CheckRecord("d_star.worked_example",
+                      "published star interchange identity",
+                      *_exactness(residual, cm))
 
     involutive = ("hq", "units", "classical-dga", "classical-cartan_maurer")
     for name in involutive + ("dga", "cartan_maurer"):
-        def involution(name=name):
-            nonzero = [(gid, r) for gid, r in star_involution_residuals(name)
-                       if r]
-            if not nonzero:
-                return "pass", "0"
-            status = "fail" if name in involutive else "finding"
+        nonzero = [(gid, r) for gid, r in star_involution_residuals(name) if r]
+        outcome = "pass", "0"
+        if nonzero:
             pres = get_presentation(name)
-            return status, "; ".join(
-                f"{gid}: {_rendered(r, pres)}" for gid, r in nonzero)
-        checks.append(Check(f"star_involution.{name}", "dga",
-                            "published star tables", involution))
+            outcome = ("fail" if name in involutive else "finding",
+                       "; ".join(f"{gid}: {_rendered(r, pres)}"
+                                 for gid, r in nonzero))
+        yield CheckRecord(f"star_involution.{name}", "published star tables",
+                          *outcome)
 
     for name in involutive:
-        def roundtrip(name=name):
-            pres = get_presentation(name)
-            table = star_table(name)
-            letters = sorted(g.id for g in pres.generators)
-            rng = random.Random(20111)
-            bad = 0
-            for _ in range(100):
-                word = tuple(rng.choice(letters)
-                             for _ in range(rng.randint(1, 3)))
-                p = pres.normal_form(NCPoly.word(word, universe=pres.name))
-                back = star(star(p, table, pres), table, pres)
-                if back - p:
-                    bad += 1
-            if bad:
-                return "fail", f"{bad} of 100 words moved"
-            return "pass", "0"
-        checks.append(Check(f"star_roundtrip.{name}", "dga",
-                            "published star tables", roundtrip))
+        pres = get_presentation(name)
+        table = star_table(name)
+        letters = sorted(g.id for g in pres.generators)
+        rng = random.Random(20111)
+        moved = 0
+        for _ in range(100):
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+            p = pres.normal_form(NCPoly.word(word, universe=pres.name))
+            if star(star(p, table, pres), table, pres) - p:
+                moved += 1
+        outcome = "pass", "0"
+        if moved:
+            outcome = "fail", f"{moved} of 100 words moved"
+        yield CheckRecord(f"star_roundtrip.{name}", "published star tables",
+                          *outcome)
 
     for candidate in OMEGA_BAR_CANDIDATES:
-        def omega_bar(candidate=candidate):
-            residual = verify_omega_bar_identity(candidate)
-            if not residual:
-                return "pass", "0"
+        residual = verify_omega_bar_identity(candidate)
+        outcome = "pass", "0"
+        if residual:
             if candidate == "star-of-omega":
                 pres = get_presentation("units_cm")
             else:
                 pres = unit_norm_extension("units_dga")
-            return "finding", _rendered(residual, pres)
-        checks.append(Check(f"omega_bar.{candidate}", "dga",
-                            "published boundary one-form identity", omega_bar))
+            outcome = "finding", _rendered(residual, pres)
+        yield CheckRecord(f"omega_bar.{candidate}",
+                          "published boundary one-form identity", *outcome)
 
     # rows are reduced in the q = 1 unit-norm quotient of dga, which keeps
     # the generators of classical-dga
-    recover_rows = functools.cache(
-        lambda: dict(recover_differentials_on_unit_sphere()))
+    recover_rows = dict(recover_differentials_on_unit_sphere())
+    cl_dga = get_presentation("classical-dga")
     for aid in A:
-        def recover(aid=aid):
-            return _exactness(recover_rows()[aid],
-                              get_presentation("classical-dga"))
-        checks.append(Check(f"recover_da.{aid}", "dga",
-                            "derived: unit-norm reduction at q = 1", recover))
-    return checks
+        yield CheckRecord(f"recover_da.{aid}",
+                          "derived: unit-norm reduction at q = 1",
+                          *_exactness(recover_rows[aid], cl_dga))
 
 
 # -- Hopf suite -------------------------------------------------------------
@@ -273,40 +224,15 @@ _HOPF_GROUPS = {
 }
 
 
-def _hopf_checks():
-    checks = []
-    records = functools.cache(
-        lambda: {rec["id"]: rec for rec in verify_hopf_axioms()})
-    hq = get_presentation("hq")
-    ids = []
-    for lhs in sorted(hq.rules):
-        for group in ("coproduct", "counit", "star"):
-            ids.append(f"{group}.relation.{lhs[0]}.{lhs[1]}")
-    for gid in A:
-        ids += [
-            f"coproduct.coassociativity.{gid}",
-            f"counit.left.{gid}",
-            f"counit.right.{gid}",
-            f"antipode.left.{gid}",
-            f"antipode.right.{gid}",
-            f"norm.central.{gid}",
-            f"star.involution.{gid}",
-            f"antipode.square.{gid}",
-        ]
-    ids += ["norm.grouplike", "norm.counit", "norm.star",
-            "localized.centrality", "localized.cancel"]
-
-    for check_id in ids:
-        ref, universe = _HOPF_GROUPS[check_id.split(".", 1)[0]]
-
-        def thunk(check_id=check_id, universe=universe):
-            rec = records()[check_id]
-            pres = get_presentation(universe)
-            if rec["kind"] == "informational":
-                return "finding", _rendered(rec["residual"], pres)
-            return _exactness(rec["residual"], pres)
-        checks.append(Check(f"hopf.{check_id}", "hopf", ref, thunk))
-    return checks
+def _hopf_suite(cap):
+    for rec in verify_hopf_axioms():
+        ref, universe = _HOPF_GROUPS[rec["id"].split(".", 1)[0]]
+        pres = get_presentation(universe)
+        if rec["kind"] == "informational":
+            outcome = "finding", _rendered(rec["residual"], pres)
+        else:
+            outcome = _exactness(rec["residual"], pres)
+        yield CheckRecord(f"hopf.{rec['id']}", ref, *outcome)
 
 
 # -- classical suite ---------------------------------------------------------
@@ -315,86 +241,69 @@ def _hopf_checks():
 _CLASSICAL_BRACKETS = ("n1.n2", "n2.n3", "n3.n1", "n1.n0", "n2.n0", "n3.n0")
 
 
-def _classical_checks(cap):
-    checks = []
-
-    @functools.cache
-    def bracket_records(convention):
-        return verify_lie_algebra(cap, "classical", convention=convention)
-
-    for idx, label in enumerate(_CLASSICAL_BRACKETS):
-        def bracket(idx=idx):
-            failures = bracket_records("bracket")[idx]["failures"]
-            if not failures:
-                return "pass", "0"
+def _classical_suite(cap):
+    cl = get_presentation("classical-hq")
+    records = verify_lie_algebra(cap, "classical", convention="bracket")
+    for label, rec in zip(_CLASSICAL_BRACKETS, records):
+        failures = rec["failures"]
+        outcome = "pass", "0"
+        if failures:
             word, residual = failures[0]
-            cl = get_presentation("classical-hq")
-            return "fail", (f"{len(failures)} monomials violate; first "
-                            f"{'*'.join(word) or '1'}: {_rendered(residual, cl)}")
-        checks.append(Check(f"classical.bracket.{label}", "classical",
-                            "published classical bracket table", bracket))
+            outcome = "fail", (f"{len(failures)} monomials violate; first "
+                               f"{'*'.join(word) or '1'}: "
+                               f"{_rendered(residual, cl)}")
+        yield CheckRecord(f"classical.bracket.{label}",
+                          "published classical bracket table", *outcome)
 
-    def printed_convention():
-        counts = [len(r["failures"]) for r in bracket_records("printed")]
-        if not any(counts):
-            return "pass", "0"
-        return "finding", ("halved-readoff normalization violates the cyclic "
-                           f"rows on {counts[:3]} monomials (commuting rows "
-                           f"{counts[3:]}); the plain readoff satisfies all six")
-    checks.append(Check("classical.bracket_printed", "classical",
-                        "published frame expansion normalization",
-                        printed_convention))
+    counts = [len(r["failures"]) for r in
+              verify_lie_algebra(cap, "classical", convention="printed")]
+    outcome = "pass", "0"
+    if any(counts):
+        outcome = "finding", ("halved-readoff normalization violates the "
+                              f"cyclic rows on {counts[:3]} monomials "
+                              f"(commuting rows {counts[3:]}); the plain "
+                              "readoff satisfies all six")
+    yield CheckRecord("classical.bracket_printed",
+                      "published frame expansion normalization", *outcome)
 
-    targets = {
-        0: NCPoly.zero(),
-        1: rat(2) * NCPoly.word(("w2", "w3")),
-        2: rat(2) * NCPoly.word(("w3", "w1")),
-        3: rat(-2) * NCPoly.word(("w2", "w1")),
-    }
-    for k in range(4):
-        def limit(k=k):
-            cl = get_presentation("classical-cartan_maurer")
-            got = cartan_maurer_d(k).eval_at(1)
-            want = cl.normal_form(NCPoly(dict(targets[k].terms), cl.name))
-            return _exactness(
-                cl.normal_form(NCPoly(dict(got.terms), cl.name)) - want, cl)
-        checks.append(Check(f"classical.two_form_limit.w{k}", "classical",
-                            "published classical two-forms", limit,
-                            ("dw0: quadratic term letter order",)))
-    return checks
+    cl_cm = get_presentation("classical-cartan_maurer")
+    targets = (
+        NCPoly.zero(),
+        rat(2) * NCPoly.word(("w2", "w3")),
+        rat(2) * NCPoly.word(("w3", "w1")),
+        rat(-2) * NCPoly.word(("w2", "w1")),
+    )
+    for k, target in enumerate(targets):
+        got = cartan_maurer_d(k).eval_at(1)
+        want = cl_cm.normal_form(NCPoly(dict(target.terms), cl_cm.name))
+        residual = cl_cm.normal_form(NCPoly(dict(got.terms), cl_cm.name)) - want
+        yield CheckRecord(f"classical.two_form_limit.w{k}",
+                          "published classical two-forms",
+                          *_exactness(residual, cl_cm),
+                          ("dw0: quadratic term letter order",))
 
 
 # -- Grassmann suite ----------------------------------------------------------
 
 
-def _grassmann_checks():
-    checks = []
+def _grassmann_suite(cap):
+    failures = get_presentation("grassmann").check_local_confluence()
+    outcome = "pass", "0"
+    if failures:
+        outcome = "fail", f"{len(failures)} failing overlaps"
+    yield CheckRecord("confluence.grassmann", "derived: overlap analysis",
+                      *outcome)
 
-    def confluence():
-        failures = get_presentation("grassmann").check_local_confluence()
-        if failures:
-            return "fail", f"{len(failures)} failing overlaps"
-        return "pass", "0"
-    checks.append(Check("confluence.grassmann", "grassmann",
-                        "derived: overlap analysis", confluence))
-
-    records = functools.cache(lambda: {
-        rec["id"]: rec for rec in grassmann_vs_differentials_crosscheck()})
-    ids = ["row.psi0.psi0", "row.psi1.psi1", "row.psi0.psi1", "row.psi0.psi2",
-           "row.psi0.psi3", "row.psi1.psi2", "row.psi1.psi3", "row.psi2.psi3",
-           "squares.internal-equality", "squares.common-coefficient"]
-    for rec_id in ids:
-        def crosscheck(rec_id=rec_id):
-            rec = records()[rec_id]
-            if rec["match"]:
-                return "pass", "0"
+    dga = get_presentation("dga")
+    for rec in grassmann_vs_differentials_crosscheck():
+        outcome = "pass", "0"
+        if not rec["match"]:
             # residuals are differences of rules in the repaired table
-            residual = _rendered(rec["residual"], get_presentation("dga"))
-            return "finding", f"{residual} ({rec['detail']})"
-        checks.append(Check(f"grassmann.crosscheck.{rec_id}", "grassmann",
-                            "published odd-generator table vs differential table",
-                            crosscheck))
-    return checks
+            outcome = ("finding",
+                       f"{_rendered(rec['residual'], dga)} ({rec['detail']})")
+        yield CheckRecord(f"grassmann.crosscheck.{rec['id']}",
+                          "published odd-generator table vs differential table",
+                          *outcome)
 
 
 # -- vector-field suite --------------------------------------------------------
@@ -404,72 +313,54 @@ _QUANTUM_ROWS = ("n0n1-n1n0", "n0n2-n2n0", "n0n3-n3n0",
                  "n1n2-row", "n1n3-row", "n3n2-row")
 
 
-def _vector_field_checks():
-    checks = []
-
-    @functools.cache
-    def records(convention):
-        return verify_lie_algebra(QUANTUM_FIELD_CAP, "quantum",
-                                  convention=convention)
-
+def _vector_field_suite(cap):
+    hq = get_presentation("hq")
     for convention in VECTOR_FIELD_CONVENTIONS:
-        for idx, label in enumerate(_QUANTUM_ROWS):
-            def quantum(idx=idx, convention=convention):
-                failures = records(convention)[idx]["failures"]
-                if not failures:
-                    return "pass", "0"
+        records = verify_lie_algebra(QUANTUM_FIELD_CAP, "quantum",
+                                     convention=convention)
+        for label, rec in zip(_QUANTUM_ROWS, records):
+            failures = rec["failures"]
+            outcome = "pass", "0"
+            if failures:
                 word, residual = failures[0]
-                hq = get_presentation("hq")
-                return "finding", (
+                outcome = "finding", (
                     f"{len(failures)} monomials violate at cap "
                     f"{QUANTUM_FIELD_CAP}; first {'*'.join(word) or '1'}: "
                     f"{_rendered(residual, hq)}")
-            checks.append(Check(f"quantum.{convention}.{label}",
-                                "vector-fields",
-                                "published deformed generator relations",
-                                quantum))
-    return checks
+            yield CheckRecord(f"quantum.{convention}.{label}",
+                              "published deformed generator relations",
+                              *outcome)
 
 
 # -- runner ---------------------------------------------------------------
 
 
-def build_checks(suite: str, cap: int = 3) -> list:
-    """All checks of one suite; `all` concatenates every suite."""
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    parts = {
-        "dga": _dga_checks,
-        "hopf": _hopf_checks,
-        "classical": lambda: _classical_checks(cap),
-        "grassmann": _grassmann_checks,
-        "vector-fields": _vector_field_checks,
-    }
-    if suite == "all":
-        out = []
-        for name in ("dga", "hopf", "classical", "grassmann", "vector-fields"):
-            out.extend(parts[name]())
-        return out
-    return parts[suite]()
+# every suite, in the order `all` runs them
+_SUITE_RUNS = {
+    "dga": _dga_suite,
+    "hopf": _hopf_suite,
+    "classical": _classical_suite,
+    "grassmann": _grassmann_suite,
+    "vector-fields": _vector_field_suite,
+}
 
 
 def run_suite(suite: str, cap: int = 3, jobs=None) -> VerificationReport:
-    """Execute a suite's checks in order and assemble the sorted report.
+    """Run a suite (`all` runs every suite) and assemble the sorted report.
 
+    Each record's ms is the time since the previous check of its suite.
     jobs is accepted and ignored: checks always run one after another.
     It stays because existing callers, such as the perfbench harness,
     still pass it.
     """
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     records = []
-    for check in build_checks(suite, cap=cap):
+    for name in _SUITE_RUNS if suite == "all" else (suite,):
         start = perf_counter()
-        status, residual = check.thunk()
-        records.append(CheckRecord(
-            id=check.id,
-            paper_ref=check.paper_ref,
-            status=status,
-            residual=residual,
-            corrections=check.corrections,
-            ms=int((perf_counter() - start) * 1000),
-        ))
+        for record in _SUITE_RUNS[name](cap):
+            now = perf_counter()
+            record.ms = int((now - start) * 1000)
+            start = now
+            records.append(record)
     return VerificationReport(suite=suite, checks=records)

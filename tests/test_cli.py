@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from qcalc.cli import main
+from qcalc.cli import _FLAGS, _build_argparser, main
 
 NF_A0A1 = ("-(1/2)*i*q*a3^2 + (1/2)*i*q^-1*a3^2 "
            "- (1/2)*i*q*a2^2 + (1/2)*i*q^-1*a2^2 + a1*a0")
@@ -175,7 +176,8 @@ def test_load_reports_broken_presentations(capsys, tmp_path):
                            "64 failing overlaps")
 
 
-@pytest.mark.parametrize("coeff", ["a0", "q +", "1/0"])
+@pytest.mark.parametrize("coeff", [
+    "a0", "q +", "1/0", pytest.param("1" * 5000, id="5000-digit-literal")])
 def test_load_rejects_a_bad_coefficient(capsys, tmp_path, coeff):
     target = tmp_path / "hq.json"
     run(capsys, "dump-presentation", "hq", "--output", str(target))
@@ -187,6 +189,45 @@ def test_load_rejects_a_bad_coefficient(capsys, tmp_path, coeff):
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
     assert str(tuple(rule["lhs"])) in err and repr(coeff) in err
+
+
+def test_load_rejects_a_json_number_past_the_digit_limit(capsys, tmp_path):
+    target = tmp_path / "hq.json"
+    run(capsys, "dump-presentation", "hq", "--output", str(target))
+    obj = json.loads(target.read_text())
+    obj["rules"][0]["rhs"][0]["coeff"] = 0
+    target.write_text(json.dumps(obj).replace('"coeff": 0',
+                                              '"coeff": ' + "1" * 5000))
+    code, out, err = run(capsys, "load-presentation", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+
+
+# Python refuses int <-> str conversions past 4300 digits by default
+@pytest.mark.parametrize("expr, message", [
+    ("1" * 5000, "error: syntax error at position 0: integer literal of 5000 "
+                 "digits is longer than the int/str conversion limit"),
+    ("a0^" + "1" * 5000, "error: syntax error at position 3: integer literal "
+                         "of 5000 digits is longer than the int/str "
+                         "conversion limit"),
+    ("2^20000", "error: coefficient too long to render: "),
+], ids=["literal", "exponent", "power"])
+def test_numbers_past_the_digit_limit_are_usage_errors(capsys, expr, message):
+    code, out, err = run(capsys, "nf", expr)
+    assert (code, out) == (2, "")
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_flags_lists_every_option_of_the_parser():
+    # _pad_expression_args reads any other dash-led token as an expression
+    top = _build_argparser()
+    parsers = [top]
+    for action in top._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers += action.choices.values()
+    options = {flag for parser in parsers for action in parser._actions
+               for flag in action.option_strings}
+    assert _FLAGS == options
 
 
 def test_version_flag(capsys):

@@ -1,6 +1,12 @@
+import json
 from pathlib import Path
 
-from qcalc.verify import SUITES, build_checks, run_suite
+import pytest
+
+from qcalc.verify import SUITES, run_suite
+
+ORACLE = (Path(__file__).resolve().parents[1]
+          / "perfbench" / "expected" / "verify_all.json")
 
 
 def test_suite_names():
@@ -9,13 +15,21 @@ def test_suite_names():
 
 
 def test_all_checks_have_unique_ids_and_suites():
-    checks = build_checks("all")
-    ids = [c.id for c in checks]
-    assert len(ids) == len(set(ids))
-    assert len(ids) == 203
-    partial = {name: len(build_checks(name)) for name in SUITES if name != "all"}
-    assert sum(partial.values()) == 203
-    assert partial["grassmann"] == 11
+    reports = {name: run_suite(name) for name in SUITES if name != "all"}
+    assert {name: len(r.checks) for name, r in reports.items()} == {
+        "dga": 114, "hopf": 55, "classical": 11, "grassmann": 11,
+        "vector-fields": 12}
+    joined = sorted(c.id for r in reports.values() for c in r.checks)
+    assert len(joined) == len(set(joined)) == 203
+    assert joined == [c.id for c in run_suite("all").checks]
+    oracle = json.loads(ORACLE.read_text())
+    assert joined == [c["id"] for c in oracle["checks"]]
+
+
+def test_unknown_suite_is_rejected():
+    with pytest.raises(ValueError, match="bogus") as exc:
+        run_suite("bogus")
+    assert str(SUITES) in str(exc.value)
 
 
 def test_grassmann_suite_statuses_are_frozen():
@@ -43,6 +57,4 @@ def test_full_suite_executes_and_renders_every_check():
     assert not report.failed
     assert all(isinstance(c.residual, str) for c in report.checks)
     # the report must stay byte-identical to the benchmark's verify oracle
-    expected = (Path(__file__).resolve().parents[1]
-                / "perfbench" / "expected" / "verify_all.json")
-    assert report.to_json(volatile=False) == expected.read_text()
+    assert report.to_json(volatile=False) == ORACLE.read_text()
