@@ -184,11 +184,14 @@ class NCPoly:
         return f"NCPoly({inner or '0'})"
 
 
-def substitute(p: NCPoly, images: dict, universe=None) -> NCPoly:
+def substitute(p: NCPoly, images: dict, pres: "Presentation" = None) -> NCPoly:
     """Algebra homomorphism replacing letters by polynomials.
 
-    Letters without an image map to themselves.
+    Letters without an image map to themselves.  Given pres, the result
+    is tagged with its universe and reduced in it once, after the images
+    of all words are summed, so that terms cancel before any rewriting.
     """
+    universe = pres.name if pres else None
     out = NCPoly.zero(universe)
     for w, c in p.terms.items():
         acc = NCPoly.scalar(c, universe)
@@ -196,7 +199,7 @@ def substitute(p: NCPoly, images: dict, universe=None) -> NCPoly:
             img = images.get(letter)
             acc = acc * (img if img is not None else NCPoly.letter(letter, universe))
         out = out + acc
-    return out
+    return pres.normal_form(out) if pres else out
 
 
 class Presentation:
@@ -436,7 +439,9 @@ class Presentation:
                         raise PresentationError(f"rule for lhs {lhs}: bad coefficient "
                                                 f"{item['coeff']!r}: {exc}") from exc
                 rules[lhs] = NCPoly(terms)
-        except (KeyError, TypeError) as exc:
+        except PresentationError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError: int()
             raise PresentationError(f"malformed presentation object: {exc}") from exc
         return Presentation(name, gens, rules, obj.get("description", ""))
 

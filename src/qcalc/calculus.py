@@ -4,6 +4,10 @@ Provides the graded exterior differential, the star antiinvolution with
 its per-universe letter tables, conversion between coordinate
 differentials and the invariant one-form frame, the two-form table, and
 vector-field extraction with Lie-algebra verification.
+
+Letter images are applied only by algebra.substitute (for star, over
+reversed words with conjugated coefficients).  differential and star
+reduce in the presentation they are given.
 """
 
 from dataclasses import dataclass, field
@@ -57,24 +61,15 @@ __all__ = [
     "VECTOR_FIELD_CONVENTIONS",
 ]
 
-def _presentation_for(p: NCPoly, pres=None) -> Presentation:
-    if pres is not None:
-        return pres
-    if p.universe is None:
-        raise PresentationError("polynomial carries no universe tag; pass one explicitly")
-    return get_presentation(p.universe)
-
-
 # -- graded exterior differential ---------------------------------------
 
 
-def differential(p: NCPoly, pres: Presentation = None) -> NCPoly:
-    """Graded Leibniz differential, normal-formed.
+def differential(p: NCPoly, pres: Presentation) -> NCPoly:
+    """Graded Leibniz differential, normal-formed in pres.
 
     Grade-0 coordinate letters map to their differential letter, unit
     letters are constants, grade-1 letters are annihilated.
     """
-    pres = _presentation_for(p, pres)
     return pres.normal_form(leibniz_expansion(p, pres))
 
 
@@ -159,19 +154,17 @@ def star_table(name: str) -> dict:
     return table
 
 
-def star(p: NCPoly, table: dict, pres: Presentation = None) -> NCPoly:
-    """Antiinvolution: reverse words, conjugate coefficients, map letters."""
-    pres = _presentation_for(p, pres)
-    out = NCPoly.zero(p.universe)
-    for w, c in p.terms.items():
-        img = NCPoly.scalar(c.conj(), p.universe)
-        for gid in reversed(w):
-            entry = table.get(gid)
-            if entry is None:
-                raise PresentationError(f"star table has no entry for {gid!r}")
-            img = img * entry
-        out = out + img
-    return pres.normal_form(out)
+def star(p: NCPoly, table: dict, pres: Presentation) -> NCPoly:
+    """Antiinvolution: reverse words, conjugate coefficients, map letters.
+
+    Reduced in pres.  Every letter of p needs a table entry; the first
+    missing one in sorted order is named in the error.
+    """
+    missing = sorted({gid for w in p.terms for gid in w} - table.keys())
+    if missing:
+        raise PresentationError(f"star table has no entry for {missing[0]!r}")
+    flipped = NCPoly._of({w[::-1]: c.conj() for w, c in p.terms.items()})
+    return substitute(flipped, table, pres)
 
 
 def star_involution_residuals(name: str):
@@ -281,8 +274,7 @@ def one_form_consistency_residuals():
     out = []
     for lhs in sorted(cm.rules):
         rel = NCPoly.word(lhs) - cm.rules[lhs]
-        residual = dga.normal_form(substitute(rel, images, dga.name))
-        out.append((lhs, residual))
+        out.append((lhs, substitute(rel, images, dga)))
     return out
 
 
@@ -292,11 +284,7 @@ def verify_d_star(k: int) -> NCPoly:
     table = star_table(cm.name)
     rows = da_from_w()
     aid = f"a{k}"
-    lhs = star(rows[aid], table, cm)
-    rhs = NCPoly.zero(cm.name)
-    for w, c in table[aid].terms.items():
-        rhs = rhs + NCPoly.scalar(c, cm.name) * rows[w[0]]
-    return cm.normal_form(lhs - qp(2) * cm.normal_form(rhs))
+    return star(rows[aid], table, cm) - qp(2) * substitute(table[aid], rows, cm)
 
 
 # -- the boundary one-form identity --------------------------------------
@@ -400,14 +388,8 @@ def recover_differentials_on_unit_sphere() -> list:
     u = at_one.name
     forms = omega_forms()
     images = {k: NCPoly(dict(v.eval_at(1).terms), u) for k, v in forms.items()}
-    out = []
-    for aid, row in _DA_ROWS.items():
-        acc = NCPoly.zero(u)
-        for wid, bid, sgn in row:
-            acc = acc + rat(sgn) * (images[wid] * NCPoly.letter(bid, u))
-        target = NCPoly.letter("d" + aid, u)
-        out.append((aid, at_one.normal_form(acc - target)))
-    return out
+    return [(aid, substitute(row, images, at_one) - NCPoly.letter("d" + aid, u))
+            for aid, row in da_from_w().items()]
 
 
 # -- vector fields --------------------------------------------------------
@@ -445,7 +427,7 @@ def coordinate_frame_coefficients(f: NCPoly, classical: bool = False) -> dict:
     if classical:
         images = {k: v.eval_at(1) for k, v in images.items()}
     df = differential(NCPoly(dict(f.terms), dga.name), dga)
-    converted = cm.normal_form(substitute(df, images, cm.name))
+    converted = substitute(df, images, cm)
     parts = {k: NCPoly.zero() for k in W}
     for w, c in converted.terms.items():
         head, tail = w[0], w[1:]

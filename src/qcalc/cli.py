@@ -149,6 +149,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.cap < 0:
+        raise CliError(f"--cap must be at least 0, got {args.cap}")
     report = run_suite(args.suite, cap=args.cap)
     print(report.render_table())
     path = args.output or f"qcalc-report-{args.suite}.json"
@@ -176,6 +178,8 @@ def _cmd_load(args) -> int:
             pres = Presentation.load_json(fh.read())
     except OSError as exc:
         raise CliError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{args.file} is not UTF-8 text: {exc}") from exc
     failures = pres.check_local_confluence()
     print(f"loaded {pres.name!r}: {len(pres.generators)} generators, "
           f"{len(pres.rules)} rules, {len(failures)} failing overlaps")

@@ -3,12 +3,15 @@
 Tensor powers with legwise reduction, the coproduct, counit, and
 antipode, localization by the central norm, and the axiom suite that
 checks every structural claim and reports residuals.
+
+The coproduct is TensorPoly.map_leg of its constant, cached generator
+images; the antipode is algebra.substitute over reversed words.
 """
 
 import functools
 import operator
 
-from .algebra import NCPoly, Presentation, _render_word
+from .algebra import NCPoly, Presentation, _render_word, substitute
 from .scalar import LaurentScalar, add_term, convolve, render_signed_sum
 from .calculus import star, star_table
 from .presentations import A, C, L, ONE, get_presentation, norm_poly, rat
@@ -88,26 +91,33 @@ class TensorPoly:
         return bool(self.terms)
 
     def normal_form(self, pres: Presentation) -> "TensorPoly":
-        """Reduce every leg independently."""
+        """Reduce every leg independently, each distinct leg word once."""
+        leg_nf = {}
         out = {}
         for key, c in self.terms.items():
-            partial = {tuple(() for _ in range(self.legs)): c}
-            for idx, w in enumerate(key):
-                nf = pres.normal_form(NCPoly.word(w))
-                partial = convolve(
-                    partial, nf.terms,
-                    lambda k, w2: k[:idx] + (k[idx] + w2,) + k[idx + 1:])
+            partial = {(): c}
+            for w in key:
+                nf = leg_nf.get(w)
+                if nf is None:
+                    nf = leg_nf[w] = pres.normal_form(NCPoly.word(w)).terms
+                partial = convolve(partial, nf, lambda k, v: k + (v,))
             for k2, c2 in partial.items():
                 add_term(out, k2, c2)
         return TensorPoly(out, self.legs)
 
-    def map_leg(self, idx: int, images: dict, image_legs: int) -> "TensorPoly":
-        """Replace leg idx through a homomorphism with TensorPoly letter images."""
+    def map_leg(self, idx: int, images: dict, image_legs: int,
+                pres: Presentation) -> "TensorPoly":
+        """Replace leg idx through a homomorphism with TensorPoly letter images.
+
+        Each word's image is folded one letter at a time and every leg of
+        it reduced in pres after each letter, which keeps it small; the
+        other legs are kept as they are.
+        """
         out = {}
         for key, c in self.terms.items():
             img = TensorPoly.unit(image_legs) * c
             for gid in key[idx]:
-                img = img * images[gid]
+                img = (img * images[gid]).normal_form(pres)
             for k2, c2 in img.terms.items():
                 add_term(out, key[:idx] + k2 + key[idx + 1:], c2)
         return TensorPoly(out, self.legs - 1 + image_legs)
@@ -169,34 +179,12 @@ def _coproduct_images():
     }
 
 
-# keyed by the Presentation object: distinct presentations may share a name
-_word_cache = {}
-
-
-def _coproduct_word(w, pres: Presentation) -> TensorPoly:
-    # legs are re-reduced at every step so cached entries stay small
-    key = (pres, w)
-    hit = _word_cache.get(key)
-    if hit is None:
-        if not w:
-            hit = TensorPoly.unit(2)
-        elif len(w) == 1:
-            hit = _coproduct_images()[w[0]].normal_form(pres)
-        else:
-            hit = (_coproduct_word(w[:-1], pres)
-                   * _coproduct_word(w[-1:], pres)).normal_form(pres)
-        _word_cache[key] = hit
-    return hit
-
-
 def coproduct(p: NCPoly, pres: Presentation = None) -> TensorPoly:
-    """Algebra homomorphism into the tensor square, legs reduced."""
+    """Algebra homomorphism into the tensor square, legs reduced in pres
+    (hq by default)."""
     pres = pres or get_presentation("hq")
-    out = {}
-    for w, c in p.terms.items():
-        for key, c2 in _coproduct_word(w, pres).terms.items():
-            add_term(out, key, c2 * c)
-    return TensorPoly(out, 2)
+    lifted = TensorPoly({(w,): c for w, c in p.terms.items()}, 1)
+    return lifted.map_leg(0, _coproduct_images(), 2, pres)
 
 
 def counit(p: NCPoly) -> LaurentScalar:
@@ -221,15 +209,9 @@ def _antipode_images():
 
 def antipode(p: NCPoly) -> NCPoly:
     """Antihomomorphism extension of the generator images, norm-reduced."""
+    flipped = NCPoly._of({w[::-1]: c for w, c in p.terms.items()})
     loc = get_presentation("hq_localized")
-    images = _antipode_images()
-    out = NCPoly.zero(loc.name)
-    for w, c in p.terms.items():
-        img = NCPoly.scalar(c, loc.name)
-        for gid in reversed(w):
-            img = img * images[gid]
-        out = out + img
-    return reduce_norm_factors(loc.normal_form(out))
+    return reduce_norm_factors(substitute(flipped, _antipode_images(), loc))
 
 
 def _insert_pair(pres: Presentation, base, gid):
@@ -340,8 +322,8 @@ def verify_hopf_axioms():
     for gid in A:
         g = NCPoly.letter(gid, hq.name)
         delta = coproduct(g)
-        left3 = delta.map_leg(0, images, 2).normal_form(hq)
-        right3 = delta.map_leg(1, images, 2).normal_form(hq)
+        left3 = delta.map_leg(0, images, 2, hq)
+        right3 = delta.map_leg(1, images, 2, hq)
         exact(f"coproduct.coassociativity.{gid}", left3 - right3)
         exact(f"counit.left.{gid}",
               delta.contract_leg(0, counit).as_poly() - g,
@@ -349,7 +331,7 @@ def verify_hopf_axioms():
         exact(f"counit.right.{gid}",
               delta.contract_leg(1, counit).as_poly() - g,
               "right counit law")
-        for side, leg in (("left", 0), ("right", 1)):
+        for side in ("left", "right"):
             acc = NCPoly.zero(loc.name)
             for (u, v), c in delta.terms.items():
                 if side == "left":

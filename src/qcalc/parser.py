@@ -141,8 +141,12 @@ class _Parser:
         if exp < 0:
             raise ParseError("negative exponents are only allowed on q", pos)
         result = NCPoly.unit(self.pres.name)
-        for _ in range(exp):
-            result = result * out
+        while exp:  # square and multiply
+            if exp & 1:
+                result = result * out
+            exp >>= 1
+            if exp:
+                out = out * out
         return result
 
     def _signed_int(self):

@@ -309,16 +309,11 @@ def _grassmann_suite(cap):
 # -- vector-field suite --------------------------------------------------------
 
 
-_QUANTUM_ROWS = ("n0n1-n1n0", "n0n2-n2n0", "n0n3-n3n0",
-                 "n1n2-row", "n1n3-row", "n3n2-row")
-
-
 def _vector_field_suite(cap):
     hq = get_presentation("hq")
     for convention in VECTOR_FIELD_CONVENTIONS:
-        records = verify_lie_algebra(QUANTUM_FIELD_CAP, "quantum",
-                                     convention=convention)
-        for label, rec in zip(_QUANTUM_ROWS, records):
+        for rec in verify_lie_algebra(QUANTUM_FIELD_CAP, "quantum",
+                                      convention=convention):
             failures = rec["failures"]
             outcome = "pass", "0"
             if failures:
@@ -327,7 +322,7 @@ def _vector_field_suite(cap):
                     f"{len(failures)} monomials violate at cap "
                     f"{QUANTUM_FIELD_CAP}; first {'*'.join(word) or '1'}: "
                     f"{_rendered(residual, hq)}")
-            yield CheckRecord(f"quantum.{convention}.{label}",
+            yield CheckRecord(f"quantum.{convention}.{rec['relation']}",
                               "published deformed generator relations",
                               *outcome)
 
@@ -355,6 +350,8 @@ def run_suite(suite: str, cap: int = 3, jobs=None) -> VerificationReport:
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    if cap < 0:
+        raise ValueError(f"cap must be at least 0, got {cap}")
     records = []
     for name in _SUITE_RUNS if suite == "all" else (suite,):
         start = perf_counter()

@@ -79,6 +79,14 @@ def test_star_involution_defect_on_the_quantum_differential_universes():
         "i*w1 - (2)*i*q^-2*w1 + i*q^-4*w1 - w0 + q^-4*w0")
 
 
+def test_star_names_the_first_letter_without_a_table_entry():
+    units = get_presentation("units")
+    p = NCPoly.letter("e2", units.name) + NCPoly.word(("e3", "a0", "e1"))
+    with pytest.raises(PresentationError,
+                       match=r"^star table has no entry for 'e1'$"):
+        star(p, star_table("hq"), units)
+
+
 def test_star_reverses_products():
     hq = get_presentation("hq")
     table = star_table("hq")

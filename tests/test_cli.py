@@ -154,6 +154,13 @@ def test_verify_writes_a_report(capsys, tmp_path):
                           "corrections", "ms"} for c in obj["checks"])
 
 
+@pytest.mark.parametrize("suite", ["classical", "all", "dga"])
+def test_verify_rejects_a_negative_cap(capsys, suite):
+    code, out, err = run(capsys, "verify", suite, "--cap", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --cap must be at least 0, got -1\n"
+
+
 def test_dump_and_load_round_trip(capsys, tmp_path):
     target = tmp_path / "hq.json"
     code, out, _ = run(capsys, "dump-presentation", "hq",
@@ -189,6 +196,30 @@ def test_load_rejects_a_bad_coefficient(capsys, tmp_path, coeff):
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
     assert str(tuple(rule["lhs"])) in err and repr(coeff) in err
+
+
+def _set_first_generator(field, value):
+    def corrupt(path):
+        obj = json.loads(path.read_text())
+        obj["generators"][0][field] = value
+        path.write_text(json.dumps(obj))
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda path: path.write_bytes(b"\xff\xfe" + path.read_bytes()),
+     "is not UTF-8 text"),
+    (_set_first_generator("grade", "z"), "malformed presentation object"),
+    (_set_first_generator("rank", "1.5"), "malformed presentation object"),
+], ids=["not-utf-8", "grade-z", "rank-1.5"])
+def test_load_rejects_a_malformed_file(capsys, tmp_path, corrupt, message):
+    target = tmp_path / "hq.json"
+    run(capsys, "dump-presentation", "hq", "--output", str(target))
+    corrupt(target)
+    code, out, err = run(capsys, "load-presentation", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_load_rejects_a_json_number_past_the_digit_limit(capsys, tmp_path):

@@ -163,7 +163,7 @@ def test_hopf_axiom_suite_is_exact(hopf_records):
         "antipode.square.a2", "antipode.square.a3"]
 
 
-def test_coproduct_cache_tells_presentations_with_one_name_apart():
+def test_coproduct_tells_presentations_with_one_name_apart():
     hq = get_presentation("hq")
     p = letter("a0") * letter("a1")
     generic = coproduct(p, hq)

@@ -135,3 +135,18 @@ def test_empty_and_trailing_input(hq):
         parse("a0 a1", hq)
     with pytest.raises(ParseError):
         parse("a0 +", hq)
+
+
+def test_powers_square_and_multiply(hq, monkeypatch):
+    calls = []
+    mul = NCPoly.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(NCPoly, "__mul__", counting)
+    assert parse("2^1024", hq) == NCPoly.scalar(2 ** 1024, hq.name)
+    assert len(calls) <= 21
+    x = NCPoly.letter("a0") + NCPoly.word(("a2", "a1"))
+    assert parse("(a0 + a2*a1)^5", hq) == x * x * x * x * x
