@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 
 from .scalar import (LaurentScalar, ScalarParseError, _superscript, add_term,
-                     convolve, render_signed_sum)
+                     convolve, q_ratio, render_signed_sum)
 
 Word = tuple  # tuple[str, ...]
 
@@ -96,7 +96,7 @@ class NCPoly:
 
     @staticmethod
     def unit(universe=None) -> "NCPoly":
-        return NCPoly({(): LaurentScalar.one()}, universe)
+        return NCPoly._of({(): LaurentScalar.one()}, universe)
 
     @staticmethod
     def scalar(c, universe=None) -> "NCPoly":
@@ -104,7 +104,7 @@ class NCPoly:
 
     @staticmethod
     def letter(gid: str, universe=None) -> "NCPoly":
-        return NCPoly({(gid,): LaurentScalar.one()}, universe)
+        return NCPoly._of({(gid,): LaurentScalar.one()}, universe)
 
     @staticmethod
     def word(letters, coeff=1, universe=None) -> "NCPoly":
@@ -172,8 +172,14 @@ class NCPoly:
         return self.map_coeffs(lambda c: c.conj())
 
     def eval_at(self, q0) -> "NCPoly":
-        """Specialize all coefficients at a rational q value."""
-        return self.map_coeffs(lambda c: LaurentScalar.from_gauss(c.eval_at(q0)))
+        """Specialize all coefficients at a nonzero rational q value."""
+        p, r = q_ratio(q0)
+        terms = {}
+        for w, c in self.terms.items():
+            v = c.value_at(p, r)
+            if v:
+                terms[w] = v
+        return NCPoly._of(terms, self.universe)
 
     def degree(self):
         """Maximum word length, or None for the zero polynomial."""
@@ -424,7 +430,7 @@ class Presentation:
         from .parser import parse_scalar
         try:
             name = obj["name"]
-            gens = [Generator(g["id"], int(g["grade"]), int(g["rank"]))
+            gens = [Generator(g["id"], _json_int(g, "grade"), _json_int(g, "rank"))
                     for g in obj["generators"]]
             rules = {}
             for entry in obj["rules"]:
@@ -441,7 +447,7 @@ class Presentation:
                 rules[lhs] = NCPoly(terms)
         except PresentationError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError: int()
+        except (KeyError, TypeError, ValueError) as exc:
             raise PresentationError(f"malformed presentation object: {exc}") from exc
         return Presentation(name, gens, rules, obj.get("description", ""))
 
@@ -452,6 +458,15 @@ class Presentation:
         except ValueError as exc:  # also a number past the int/str limit
             raise PresentationError(f"invalid JSON: {exc}") from exc
         return Presentation.from_obj(obj)
+
+
+def _json_int(entry: dict, field: str) -> int:
+    """entry[field], which must be a JSON integer (not a float or bool)."""
+    value = entry[field]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PresentationError(f"malformed presentation object: {field} "
+                                f"must be an integer, got {value!r}")
+    return value
 
 
 # -- rendering ---------------------------------------------------------

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraError,
-    NCPoly,
     Presentation,
     PresentationError,
     StepLimitExceeded,
@@ -76,7 +75,7 @@ def _parse_expr(text, pres, args):
     p = parse(text, pres)
     value = _q_value(args)
     if value is not None:
-        p = NCPoly(dict(p.eval_at(value).terms), pres.name)
+        p = p.eval_at(value)
     return p
 
 

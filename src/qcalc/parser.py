@@ -37,7 +37,11 @@ class UnknownSymbolError(ParseError):
     label = "unknown symbol"
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
+# A whitespace run, then an int, a name, an operator, or (group 4) any
+# other character, which is an error, so finditer never skips input.
+_TOKEN = re.compile(
+    r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()])|(\S))")
+_KINDS = (None, "int", "name", "op")  # by the group that matched
 
 
 def _int_literal(value, pos):
@@ -50,23 +54,14 @@ def _int_literal(value, pos):
 
 
 def _tokenize(text):
+    """(kind, text, offset) tokens: kind is int, name or op, then end."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.group(1):
-            tokens.append(("int", m.group(1), m.start(1)))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 4:
+            raise ParseError(f"unexpected character {m.group(4)!r}",
+                             m.start(4))
+        tokens.append((_KINDS[group], m.group(group), m.start(group)))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -135,8 +130,8 @@ class _Parser:
             return out
         self.advance()
         exp, pos = self._signed_int()
-        if self._is_pure_q(out):
-            base_n = out.terms[()].items()[0][0]
+        base_n = self._q_exponent(out)
+        if base_n is not None:
             return NCPoly.scalar(LaurentScalar.q_power(base_n * exp), self.pres.name)
         if exp < 0:
             raise ParseError("negative exponents are only allowed on q", pos)
@@ -211,11 +206,14 @@ class _Parser:
     # -- helpers --------------------------------------------------------
 
     @staticmethod
-    def _is_pure_q(p: NCPoly) -> bool:
+    def _q_exponent(p: NCPoly):
+        """n if p is the scalar q^n, else None."""
         if list(p.terms) != [()]:
-            return False
-        items = p.terms[()].items()
-        return len(items) == 1 and items[0][1].re == 1 and items[0][1].im == 0
+            return None
+        c = p.terms[()]
+        if c._den == 1 and not c._im and list(c._re.values()) == [1]:
+            return next(iter(c._re))
+        return None
 
     @staticmethod
     def _divide(lhs: NCPoly, rhs: NCPoly, pos) -> NCPoly:

@@ -8,9 +8,15 @@ real and imaginary numerators are two maps from q-exponents to ints,
 sharing one positive int denominator, so ring operations are integer work.
 Canonical form stores no zero numerator, divides out the gcd of the
 denominator and all numerators and gives zero the denominator 1, so
-structural equality is mathematical equality.  GaussRational appears only
-at the API boundary: construction, items(), eval_at, divide_exact and
-rendering.  No floating point enters anywhere.
+structural equality is mathematical equality.  No floating point enters
+anywhere.
+
+GaussRational appears only at the API boundary: construction from a map
+of numbers, from_gauss, items(), the hash of a constant, the value
+eval_at returns, a negative power, and long division by a divisor that
+is not constant.  Rendering, evaluation (value_at, which NCPoly.eval_at
+and eval_at share) and division by a constant work on the integer
+numerators.
 
 add_term and convolve are the sparse-map core shared by every layer: a
 LaurentScalar's numerator maps take q-exponents to ints, an NCPoly maps
@@ -143,7 +149,6 @@ class GaussRational:
 
 
 GR_ONE = GaussRational.of(1)
-GR_I = GaussRational.of(0, 1)
 
 
 def _as_gauss(value) -> GaussRational | None:
@@ -153,6 +158,17 @@ def _as_gauss(value) -> GaussRational | None:
     if isinstance(value, (int, Fraction)):
         return GaussRational(Fraction(value), Fraction(0))
     return None
+
+
+def q_ratio(q0) -> tuple[int, int]:
+    """(p, r) with q0 = p/r in lowest terms and r > 0.
+
+    Raises ValueError unless q0 is a nonzero rational: q is invertible.
+    """
+    q0 = Fraction(q0)
+    if q0 == 0:
+        raise ValueError("q must be evaluated at a nonzero rational")
+    return q0.numerator, q0.denominator
 
 
 # The numerator map of the constant 1 (with den 1 and no imaginary part).
@@ -238,19 +254,19 @@ class LaurentScalar:
 
     @staticmethod
     def zero() -> "LaurentScalar":
-        return LaurentScalar()
+        return _canonical({}, {}, 1)
 
     @staticmethod
     def one() -> "LaurentScalar":
-        return LaurentScalar({0: GR_ONE})
+        return _canonical({0: 1}, {}, 1)
 
     @staticmethod
     def i_unit() -> "LaurentScalar":
-        return LaurentScalar({0: GR_I})
+        return _canonical({}, {0: 1}, 1)
 
     @staticmethod
     def q_power(n: int) -> "LaurentScalar":
-        return LaurentScalar({n: GR_ONE})
+        return _canonical({n: 1}, {}, 1)
 
     @staticmethod
     def from_rational(r) -> "LaurentScalar":
@@ -379,12 +395,22 @@ class LaurentScalar:
 
     def eval_at(self, q0) -> GaussRational:
         """Exact evaluation at a nonzero rational value of q."""
-        q0 = Fraction(q0)
-        if q0 == 0:
-            raise ValueError("q must be evaluated at a nonzero rational")
-        re = sum(v * q0 ** n for n, v in self._re.items())
-        im = sum(v * q0 ** n for n, v in self._im.items())
-        return GaussRational(Fraction(re, self._den), Fraction(im, self._den))
+        return self.value_at(*q_ratio(q0))._gauss_terms().get(0, GaussRational())
+
+    def value_at(self, p: int, r: int) -> "LaurentScalar":
+        """The constant this takes at q = p/r, for ints p != 0 and r > 0.
+
+        With lo <= 0 <= hi bounding the exponents, the value is the
+        integer sum of v_n * p^(n-lo) * r^(hi-n) over den * p^-lo * r^hi.
+        """
+        exps = {0, *self._re, *self._im}
+        lo, hi = min(exps), max(exps)
+        a = sum(v * p ** (n - lo) * r ** (hi - n) for n, v in self._re.items())
+        b = sum(v * p ** (n - lo) * r ** (hi - n) for n, v in self._im.items())
+        den = self._den * p ** -lo * r ** hi
+        if den < 0:
+            a, b, den = -a, -b, -den
+        return _canonical({0: a} if a else {}, {0: b} if b else {}, den)
 
     def divide_exact(self, other) -> "LaurentScalar | None":
         """Exact quotient self/other in Q(i)[q, q^-1], or None if not exact."""
@@ -393,6 +419,11 @@ class LaurentScalar:
             raise ZeroDivisionError("division by zero LaurentScalar")
         if not self:
             return LaurentScalar.zero()
+        if other._re.keys() <= {0} and other._im.keys() <= {0}:
+            # 1/((a + bi)/d) = d*(a - bi)/(a^2 + b^2)
+            a, b, d = other._re.get(0, 0), other._im.get(0, 0), other._den
+            return self * _canonical({0: d * a} if a else {},
+                                     {0: -d * b} if b else {}, a * a + b * b)
         # Shift both to ordinary polynomials in q and long-divide.
         num = self._gauss_terms()
         den = other._gauss_terms()
@@ -427,30 +458,6 @@ class LaurentScalar:
         return f"LaurentScalar({self.render()!r})"
 
 
-def render_coeff_body(g: GaussRational, n: int, bare_unit: bool) -> str:
-    """One rendered product (coefficient)*q^n; g must be sign-normalized.
-
-    With bare_unit, a coefficient of exactly 1 or i drops its "(1)" so
-    words render as `a2` / `i*a2` / `q^2*a0` rather than `(1)*a2`.
-    """
-    if g.im == 0:
-        coef = None if (bare_unit and g.re == 1) else f"({g.re})"
-    elif g.re == 0:
-        coef = "i" if (bare_unit and g.im == 1) else f"({g.im})*i"
-    else:
-        im = g.im
-        inner = f"{g.re} + {im}*i" if im > 0 else f"{g.re} - {-im}*i"
-        coef = f"({inner})"
-    if n == 0:
-        qs = None
-    elif n == 1:
-        qs = "q"
-    else:
-        qs = f"q^{n}"
-    pieces = [p for p in (coef, qs) if p]
-    return "*".join(pieces) if pieces else "1"
-
-
 _SUPER = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
 
 
@@ -458,30 +465,49 @@ def _superscript(n: int) -> str:
     return str(n).translate(_SUPER)
 
 
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms, as str(Fraction(num, den)) writes it."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def render_signed_sum(terms, superscripts=False) -> str:
     """Canonical text of a sum of (word text, LaurentScalar) terms, in order.
 
-    Each q-power of each coefficient becomes one product, its sign pulled
-    out as a " + " / " - " joiner; an empty word text is the unit word.
-    With superscripts, q exponents are written as superscripts.  A
-    number with more digits than Python converts to text raises
-    OverflowError.
+    Each q-power of each coefficient, highest first, becomes one product
+    (coefficient)*q^n*word, its sign pulled out as a " + " / " - "
+    joiner; an empty word text is the unit word.  A word's coefficient
+    of exactly 1 or i is written bare, as `a2` / `i*a2` / `q^2*a0`
+    rather than `(1)*a2`.  With superscripts, q exponents are written
+    as superscripts.  A number with more digits than Python converts to
+    text raises OverflowError.
     """
     out = []
     for text, c in terms:
-        for n, g in c.items():
-            neg = g.re < 0 or (g.re == 0 and g.im < 0)
+        re, im, den = c._re, c._im, c._den
+        for n in sorted(re.keys() | im.keys(), reverse=True):
+            a, b = re.get(n, 0), im.get(n, 0)
+            neg = a < 0 or (a == 0 and b < 0)
+            if neg:
+                a, b = -a, -b
             try:
-                body = render_coeff_body(-g if neg else g, n,
-                                         bare_unit=bool(text))
+                if not b:
+                    coef = None if text and a == den else f"({_ratio(a, den)})"
+                elif not a:
+                    coef = "i" if text and b == den else f"({_ratio(b, den)})*i"
+                else:
+                    coef = (f"({_ratio(a, den)} {'+' if b > 0 else '-'} "
+                            f"{_ratio(abs(b), den)}*i)")
             except ValueError as exc:  # past sys.get_int_max_str_digits()
                 raise OverflowError(
                     f"coefficient too long to render: {exc}") from None
-            if superscripts and "^" in body:
-                head, _, exp = body.rpartition("^")
-                body = head + _superscript(int(exp))
-            if text:
-                body = text if body == "1" else f"{body}*{text}"
+            if n == 0:
+                qs = None
+            elif n == 1:
+                qs = "q"
+            else:
+                qs = "q" + (_superscript(n) if superscripts else f"^{n}")
+            body = "*".join(p for p in (coef, qs, text) if p)
             if out:
                 out.append(f" {'-' if neg else '+'} {body}")
             else:

@@ -211,7 +211,9 @@ def _set_first_generator(field, value):
      "is not UTF-8 text"),
     (_set_first_generator("grade", "z"), "malformed presentation object"),
     (_set_first_generator("rank", "1.5"), "malformed presentation object"),
-], ids=["not-utf-8", "grade-z", "rank-1.5"])
+    (_set_first_generator("grade", 0.9), "malformed presentation object"),
+    (_set_first_generator("rank", True), "malformed presentation object"),
+], ids=["not-utf-8", "grade-z", "rank-1.5", "grade-0.9", "rank-true"])
 def test_load_rejects_a_malformed_file(capsys, tmp_path, corrupt, message):
     target = tmp_path / "hq.json"
     run(capsys, "dump-presentation", "hq", "--output", str(target))

@@ -11,7 +11,8 @@ from math import gcd
 
 import pytest
 
-from qcalc import GaussRational, LaurentScalar, parse_scalar
+from qcalc import GaussRational, LaurentScalar, NCPoly, parse_scalar
+from qcalc.scalar import render_signed_sum
 
 ZERO = Fraction(0)
 
@@ -50,6 +51,43 @@ def ref_mul(a, b):
 def ref_eval(a, q0):
     return (sum((re * q0 ** n for n, (re, _) in a.items()), ZERO),
             sum((im * q0 ** n for n, (_, im) in a.items()), ZERO))
+
+
+def ref_inverse_constant(x, y):
+    """1/(x + y*i) as a reference constant."""
+    n = x * x + y * y
+    return {0: (x / n, -y / n)}
+
+
+def ref_render(terms, superscripts=False):
+    """Text of a sum of (word text, reference value) pairs, written out
+    term by term from the Fraction parts."""
+    out = []
+    for text, a in terms:
+        for n in sorted(a, reverse=True):
+            re, im = a[n]
+            neg = re < 0 or (re == 0 and im < 0)
+            if neg:
+                re, im = -re, -im
+            if im == 0:
+                coef = "" if text and re == 1 else f"({re})"
+            elif re == 0:
+                coef = "i" if text and im == 1 else f"({im})*i"
+            else:
+                coef = f"({re} {'+' if im > 0 else '-'} {abs(im)}*i)"
+            if n in (0, 1):
+                qs = "q" * n
+            elif superscripts:
+                qs = "q" + "".join("⁻⁰¹²³⁴⁵⁶⁷⁸⁹"["-0123456789".index(ch)]
+                                   for ch in str(n))
+            else:
+                qs = f"q^{n}"
+            body = "*".join(p for p in (coef, qs, text) if p)
+            if out:
+                out.append(f" {'-' if neg else '+'} {body}")
+            else:
+                out.append("-" * neg + body)
+    return "".join(out) or "0"
 
 
 def to_scalar(a):
@@ -239,6 +277,60 @@ def test_divide_exact_matches_the_fraction_model():
             divisor = to_scalar(ref_mul(q_minus_2, rb))
             if ref_eval(ra, Fraction(2)) != (ZERO, ZERO):
                 assert a.divide_exact(divisor) is None
+
+
+def shifted(a, k):
+    """a*q^k as a reference value."""
+    return {n + k: c for n, c in a.items()}
+
+
+def test_render_matches_the_fraction_model():
+    for sa, ra, sb, rb in shaped_pairs(seed=20029):
+        assert to_scalar(ra).render() == ref_render([("", ra)])
+        # two-digit exponents, positive and negative, with superscripts
+        terms = [("", ra), ("a0", shifted(rb, 9)), ("a1*a2", shifted(ra, -12))]
+        for sup in (False, True):
+            got = render_signed_sum([(t, to_scalar(c)) for t, c in terms],
+                                    superscripts=sup)
+            assert got == ref_render(terms, superscripts=sup), (sa, sb, sup)
+
+
+@pytest.mark.parametrize("q0", [-3, Fraction(-1, 2), Fraction(2, 3), 5],
+                         ids=["-3", "-1/2", "2/3", "5"])
+def test_polynomial_evaluation_matches_the_fraction_model(q0):
+    draws = shaped_pairs(count=300, seed=20031)
+    for _, ra, _, rb in draws:
+        # shifted by q^4 every exponent is positive, by q^-4 negative
+        coeffs = {("a0",): ra, ("a1",): rb, ("a0", "a1"): shifted(ra, 4),
+                  (): shifted(rb, -4)}
+        p = NCPoly({w: to_scalar(c) for w, c in coeffs.items()}, "u")
+        got = p.eval_at(q0)
+        assert got.universe == "u"
+        for w, c in coeffs.items():
+            re, im = ref_eval(c, Fraction(q0))
+            want = ref_clean({0: (re, im)})
+            if want:
+                assert_matches(got.terms[w], want)
+            else:
+                assert w not in got.terms
+            g = to_scalar(c).eval_at(q0)
+            assert (g.re, g.im) == (re, im)
+    with pytest.raises(ValueError):
+        NCPoly.word(("a0",)).eval_at(0)
+
+
+def test_division_by_a_constant_matches_the_fraction_model():
+    rng = random.Random(20033)
+    for shape in SHAPES * 60:
+        ra = random_shaped(rng, shape)
+        x = random_part(rng) or Fraction(-5, 3)
+        y = random_part(rng) or Fraction(1, 4)
+        for divisor in ((x, y), (x, ZERO), (ZERO, y)):
+            want = ref_mul(ra, ref_inverse_constant(*divisor))
+            c = to_scalar({0: divisor})
+            assert_matches(to_scalar(ra).divide_exact(c), want)
+            if not divisor[1]:
+                assert_matches(to_scalar(ra).divide_exact(divisor[0]), want)
 
 
 def test_render_round_trips_through_the_parser():
