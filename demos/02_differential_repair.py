@@ -41,7 +41,7 @@ def main():
     clean = leibniz_consistency_check(dga)
     print(f"  repaired table: {sum(1 for r in clean if r['residual'])} of"
           f" {len(clean)} rows fail")
-    rows = leibniz_consistency_check(literal, trace_rules=True)
+    rows = leibniz_consistency_check(literal)
     bad = [r for r in rows if r["residual"]]
     print(f"  printed table : {len(bad)} of {len(rows)} rows fail")
     repaired = set(corrected_rule_diff())

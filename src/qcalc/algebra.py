@@ -3,8 +3,9 @@
 Words are tuples of generator ids.  An NCPoly maps words to LaurentScalar
 coefficients.  A Presentation holds a generator table (with a total sort
 rank fixing the normal order) and a set of quadratic rewrite rules keyed
-by the reducible adjacent pair; normal_form repeatedly rewrites the
-leftmost reducible pair until no rule applies, guarded by a step limit.
+by the reducible adjacent pair; normal_form rewrites the leftmost
+reducible pair of each pending word, merging equal words, until no rule
+applies, guarded by a step limit.
 """
 
 from __future__ import annotations
@@ -309,16 +310,19 @@ class Presentation:
         """Fully reduce p, leftmost reducible pair first.
 
         trace, if given, is a set collecting the lhs pairs of every rule
-        actually applied (caching is disabled so usage is complete).  A
-        cached normal form is charged the steps it cost when computed, so
-        whether the limit is hit depends on p alone.
+        fired on the words of p (none on pending words that cancel).  A
+        cached normal form is charged the steps it cost when computed and
+        traces the rules it fired, so both depend on p alone.
         """
         self.check_letters(p)
         budget = [step_limit if step_limit is not None else step_limit_default()]
         out = {}
         for w, c in sorted(p.terms.items(), key=lambda kv: self.word_sort_key(kv[0])):
-            for nw, nc in self._nf_word(w, budget, trace).items():
+            terms, _, fired = self._nf_word(w, budget)
+            for nw, nc in terms.items():
                 add_term(out, nw, nc * c)
+            if trace is not None:
+                trace |= fired
         return NCPoly._of(out, p.universe)
 
     def _charge(self, budget, steps):
@@ -328,41 +332,31 @@ class Presentation:
                 f"raise it via the step_limit argument or {STEP_LIMIT_ENV}")
         budget[0] -= steps
 
-    def _nf_word(self, word, budget, trace):
-        # _nf_cache maps a word to (normal form terms, rewrite steps it cost)
-        use_cache = trace is None
-        if use_cache:
-            hit = self._nf_cache.get(word)
-            if hit is not None:
-                self._charge(budget, hit[1])
-                return hit[0]
+    def _nf_word(self, word, budget):
+        # _nf_cache maps a word to (normal form terms, rewrite steps it
+        # cost, lhs pairs it fired).  Pending words are merged as they
+        # arise and drained first in, first out; leftmost normal form is
+        # linear, so merging changes no result, confluent or not.
+        hit = self._nf_cache.get(word)
+        if hit is not None:
+            self._charge(budget, hit[1])
+            return hit
         start = budget[0]
-        acc = {}
-        one = LaurentScalar.one()
-        stack = [(word, one)]
-        rules = self.rules
-        while stack:
-            w, c = stack.pop()
-            if use_cache and w != word:
-                hit = self._nf_cache.get(w)
-                if hit is not None:
-                    self._charge(budget, hit[1])
-                    for nw, nc in hit[0].items():
-                        add_term(acc, nw, nc * c)
-                    continue
+        acc, fired = {}, set()
+        pending = {word: LaurentScalar.one()}
+        while pending:
+            w = next(iter(pending))
+            c = pending.pop(w)
             i = self._first_redex(w)
             if i is None:
                 add_term(acc, w, c)
                 continue
             self._charge(budget, 1)
             pair = (w[i], w[i + 1])
-            if trace is not None:
-                trace.add(pair)
-            for rw, rc in rules[pair].terms.items():
-                stack.append((w[:i] + rw + w[i + 2:], c * rc))
-        if use_cache:
-            self._nf_cache[word] = (acc, start - budget[0])
-        return acc
+            fired.add(pair)
+            for rw, rc in self.rules[pair].terms.items():
+                add_term(pending, w[:i] + rw + w[i + 2:], c * rc)
+        return self._nf_cache.setdefault(word, (acc, start - budget[0], frozenset(fired)))
 
     def nc_equal(self, p: NCPoly, r: NCPoly, step_limit=None) -> bool:
         diff = p - r
@@ -429,8 +423,9 @@ class Presentation:
         # Imported here: parser imports this module.
         from .parser import parse_scalar
         try:
-            name = obj["name"]
-            gens = [Generator(g["id"], _json_int(g, "grade"), _json_int(g, "rank"))
+            name = _json_field(obj, "name", str)
+            gens = [Generator(_json_field(g, "id", str), _json_field(g, "grade", int),
+                              _json_field(g, "rank", int))
                     for g in obj["generators"]]
             rules = {}
             for entry in obj["rules"]:
@@ -460,12 +455,13 @@ class Presentation:
         return Presentation.from_obj(obj)
 
 
-def _json_int(entry: dict, field: str) -> int:
-    """entry[field], which must be a JSON integer (not a float or bool)."""
+def _json_field(entry: dict, field: str, kind: type):
+    """entry[field], which must be a JSON value of type kind (a bool is no int)."""
     value = entry[field]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is int else "a string"
         raise PresentationError(f"malformed presentation object: {field} "
-                                f"must be an integer, got {value!r}")
+                                f"must be {noun}, got {value!r}")
     return value
 
 

@@ -51,10 +51,18 @@ def _q_value(args):
     q0 = getattr(args, "at_q", None)
     if q0 is None:
         return None
+    # specialize puts str(value) in a name, so the value must pass the
+    # int/str digit limit; a long exponent fails before Fraction builds it
+    limit = sys.get_int_max_str_digits()
+    exponent = q0.lower().partition("e")[2]
     try:
+        if limit and exponent and abs(int(exponent)) > limit:
+            raise ValueError(exponent)
         value = Fraction(q0)
+        str(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"--at-q wants a rational number, got {q0!r}") from exc
+        raise CliError(f"--at-q wants a rational number within the int/str "
+                       f"conversion limit, got {q0!r}") from exc
     if value == 0:
         raise CliError("--at-q must be nonzero; q is invertible")
     return value

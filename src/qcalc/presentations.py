@@ -513,12 +513,12 @@ def leibniz_expansion(p: NCPoly, pres: Presentation) -> NCPoly:
     return out
 
 
-def leibniz_consistency_check(dga: Presentation, trace_rules=False):
+def leibniz_consistency_check(dga: Presentation):
     """Apply d to every quadratic relation and reduce; residuals must vanish.
 
     Returns a list of dicts: one per coordinate relation and one per
     coordinate/differential commutation row, each holding the residual
-    and, when trace_rules is set, the lhs pairs of the rules used.
+    and the lhs pairs of the rules fired while reducing it (rules_used).
     """
     results = []
     for lhs in sorted(dga.rules):
@@ -526,17 +526,14 @@ def leibniz_consistency_check(dga: Presentation, trace_rules=False):
         if dga.grade(g0) != 0:
             continue  # differential-only rows are the oracle's output side
         relation = NCPoly.word(lhs) - dga.rules[lhs]
-        trace = set() if trace_rules else None
-        residual = dga.normal_form(leibniz_expansion(relation, dga), trace=trace)
-        kind = "coordinate" if dga.grade(g1) == 0 else "mixed"
-        entry = {
+        used = set()
+        residual = dga.normal_form(leibniz_expansion(relation, dga), trace=used)
+        results.append({
             "lhs": lhs,
-            "kind": kind,
+            "kind": "coordinate" if dga.grade(g1) == 0 else "mixed",
             "residual": residual,
-        }
-        if trace_rules:
-            entry["rules_used"] = trace
-        results.append(entry)
+            "rules_used": used,
+        })
     return results
 
 

@@ -103,8 +103,7 @@ def _dga_suite(cap):
                               "published mixed commutation table",
                               *_exactness(leibniz_rows[lhs], dga), da_fix)
 
-    rows = leibniz_consistency_check(get_presentation("dga_literal"),
-                                     trace_rules=True)
+    rows = leibniz_consistency_check(get_presentation("dga_literal"))
     repaired = set(corrected_rule_diff())
     bad = [r for r in rows if r["residual"]]
     unattributed = [r for r in bad if not (r["rules_used"] & repaired)

@@ -145,8 +145,7 @@ def test_criterion_06_differential_suite():
     assert count == 584
     for row in leibniz_consistency_check(dga):
         assert row["residual"] == 0, row["lhs"]
-    literal_rows = leibniz_consistency_check(
-        get_presentation("dga_literal"), trace_rules=True)
+    literal_rows = leibniz_consistency_check(get_presentation("dga_literal"))
     repaired = set(corrected_rule_diff())
     implicated = set()
     for row in literal_rows:

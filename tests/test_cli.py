@@ -213,7 +213,12 @@ def _set_first_generator(field, value):
     (_set_first_generator("rank", "1.5"), "malformed presentation object"),
     (_set_first_generator("grade", 0.9), "malformed presentation object"),
     (_set_first_generator("rank", True), "malformed presentation object"),
-], ids=["not-utf-8", "grade-z", "rank-1.5", "grade-0.9", "rank-true"])
+    (_set_first_generator("id", ["x"]), "id must be a string"),
+    (lambda path: path.write_text(path.read_text().replace('"name": "hq"',
+                                                           '"name": ["hq"]')),
+     "name must be a string"),
+], ids=["not-utf-8", "grade-z", "rank-1.5", "grade-0.9", "rank-true", "id-list",
+        "name-list"])
 def test_load_rejects_a_malformed_file(capsys, tmp_path, corrupt, message):
     target = tmp_path / "hq.json"
     run(capsys, "dump-presentation", "hq", "--output", str(target))
@@ -249,6 +254,14 @@ def test_numbers_past_the_digit_limit_are_usage_errors(capsys, expr, message):
     code, out, err = run(capsys, "nf", expr)
     assert (code, out) == (2, "")
     assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("q0", ["1e5000", "1e-5000", "1234e4298", "1e2000000"])
+def test_at_q_past_the_digit_limit_is_a_usage_error(capsys, q0):
+    code, out, err = run(capsys, "nf", "--at-q", q0, "a0*a1")
+    assert (code, out) == (2, "")
+    assert err == ("error: --at-q wants a rational number within the int/str "
+                   f"conversion limit, got {q0!r}\n")
 
 
 def test_flags_lists_every_option_of_the_parser():

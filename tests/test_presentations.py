@@ -108,8 +108,7 @@ def test_leibniz_rows_are_clean_on_the_repaired_table():
 
 
 def test_leibniz_rows_break_only_at_repaired_rules_on_the_printed_table():
-    rows = leibniz_consistency_check(
-        get_presentation("dga_literal"), trace_rules=True)
+    rows = leibniz_consistency_check(get_presentation("dga_literal"))
     repaired = set(corrected_rule_diff())
     bad = [row for row in rows if row["residual"]]
     assert len(bad) == 15
