@@ -322,7 +322,7 @@ class Presentation:
             for nw, nc in terms.items():
                 add_term(out, nw, nc * c)
             if trace is not None:
-                trace |= fired
+                trace.update(fired)
         return NCPoly._of(out, p.universe)
 
     def _charge(self, budget, steps):
@@ -356,7 +356,7 @@ class Presentation:
             fired.add(pair)
             for rw, rc in self.rules[pair].terms.items():
                 add_term(pending, w[:i] + rw + w[i + 2:], c * rc)
-        return self._nf_cache.setdefault(word, (acc, start - budget[0], frozenset(fired)))
+        return self._nf_cache.setdefault(word, (acc, start - budget[0], tuple(fired)))
 
     def nc_equal(self, p: NCPoly, r: NCPoly, step_limit=None) -> bool:
         diff = p - r
@@ -440,11 +440,12 @@ class Presentation:
                         raise PresentationError(f"rule for lhs {lhs}: bad coefficient "
                                                 f"{item['coeff']!r}: {exc}") from exc
                 rules[lhs] = NCPoly(terms)
+            description = _json_field(obj, "description", str) if "description" in obj else ""
         except PresentationError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise PresentationError(f"malformed presentation object: {exc}") from exc
-        return Presentation(name, gens, rules, obj.get("description", ""))
+        return Presentation(name, gens, rules, description)
 
     @staticmethod
     def load_json(text: str) -> "Presentation":

@@ -478,12 +478,8 @@ def get_presentation(name: str) -> Presentation:
     return pres
 
 
-def shipped_names(include_classical=True) -> list:
-    names = list(_SHIPPED)
-    if include_classical:
-        names += [f"classical-{n}" for n in _SHIPPED]
-    names.append("dga_literal")
-    return names
+def shipped_names() -> list:
+    return [*_SHIPPED, *(f"classical-{n}" for n in _SHIPPED), "dga_literal"]
 
 
 # -- oracles ---------------------------------------------------------------

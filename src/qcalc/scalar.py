@@ -1,22 +1,20 @@
 """Exact arithmetic in Q(i)[q, q^-1], the coefficient ring of the engine.
 
-GaussRational is an exact complex rational a + b*i.  LaurentScalar is a
-sparse Laurent polynomial in the real invertible parameter q with
-Gaussian rational coefficients, stored the way FLINT's fmpq_poly stores a
-rational polynomial: integer numerators over one common denominator.  Its
-real and imaginary numerators are two maps from q-exponents to ints,
-sharing one positive int denominator, so ring operations are integer work.
-Canonical form stores no zero numerator, divides out the gcd of the
-denominator and all numerators and gives zero the denominator 1, so
-structural equality is mathematical equality.  No floating point enters
-anywhere.
+LaurentScalar is a sparse Laurent polynomial in the real invertible
+parameter q with Gaussian rational coefficients, stored the way FLINT's
+fmpq_poly stores a rational polynomial: integer numerators over one
+common denominator.  Its real and imaginary numerators are two maps from
+q-exponents to ints, sharing one positive int denominator, so ring
+operations are integer work.  Canonical form stores no zero numerator,
+divides out the gcd of the denominator and all numerators and gives zero
+the denominator 1, so structural equality is mathematical equality.  No
+floating point enters anywhere.
 
-GaussRational appears only at the API boundary: construction from a map
-of numbers, from_gauss, items(), the hash of a constant, the value
-eval_at returns, a negative power, and long division by a divisor that
-is not constant.  Rendering, evaluation (value_at, which NCPoly.eval_at
-and eval_at share) and division by a constant work on the integer
-numerators.
+A Gaussian rational a + b*i is the constant LaurentScalar with its one
+term at q^0; there is no second number type.  items() and eval_at hand
+out such constants, whose re and im give the Fraction parts.
+GaussRational(re, im) survives only as a constructor of them: no value
+is an instance of it.
 
 add_term and convolve are the sparse-map core shared by every layer: a
 LaurentScalar's numerator maps take q-exponents to ints, an NCPoly maps
@@ -37,7 +35,6 @@ operation that reuses a map copies it first.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -67,97 +64,6 @@ def convolve(left: dict, right: dict, join) -> dict:
         for k2, v2 in right.items():
             add_term(out, join(k1, k2), v1 * v2)
     return out
-
-
-@dataclass(frozen=True)
-class GaussRational:
-    """a + b*i with Fraction parts; i*i = -1, conjugation negates b.
-
-    Arithmetic promotes an int or Fraction operand and returns
-    NotImplemented for any other type, so a LaurentScalar or NCPoly on
-    the other side runs its reflected operation.
-    """
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    @staticmethod
-    def of(re, im=0) -> "GaussRational":
-        return GaussRational(Fraction(re), Fraction(im))
-
-    def __add__(self, other) -> "GaussRational":
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "GaussRational":
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other) -> "GaussRational":
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRational(other.re - self.re, other.im - self.im)
-
-    def __mul__(self, other) -> "GaussRational":
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "GaussRational":
-        return GaussRational(-self.re, -self.im)
-
-    def __truediv__(self, other) -> "GaussRational":
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussRational")
-        return self * GaussRational(other.re / n, -other.im / n)
-
-    def conj(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
-
-    def __eq__(self, other) -> bool:
-        # Equal to the same int or Fraction, as a LaurentScalar constant
-        # is, so equality across the number types is transitive.
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __hash__(self) -> int:
-        # A real value hashes like its Fraction, as LaurentScalar
-        # constants do, so values that compare equal hash equal.
-        return hash((self.re, self.im)) if self.im else hash(self.re)
-
-
-GR_ONE = GaussRational.of(1)
-
-
-def _as_gauss(value) -> GaussRational | None:
-    """value as a GaussRational if it is one, an int or a Fraction."""
-    if isinstance(value, GaussRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussRational(Fraction(value), Fraction(0))
-    return None
 
 
 def q_ratio(q0) -> tuple[int, int]:
@@ -193,6 +99,11 @@ def _canonical(re: dict, im: dict, den: int) -> "LaurentScalar":
     s = object.__new__(LaurentScalar)
     s._re, s._im, s._den = re, im, den
     return s
+
+
+def _constant(a: int, b: int, den: int) -> "LaurentScalar":
+    """The constant (a + b*i)/den, for ints a, b and den > 0."""
+    return _canonical({0: a} if a else {}, {0: b} if b else {}, den)
 
 
 def _absorb(acc: dict, terms: dict, sign: int = 1) -> dict:
@@ -232,22 +143,20 @@ class LaurentScalar:
     __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, terms=None):
+        """From a map exponent -> int, Fraction or constant LaurentScalar."""
         parts = []
         den = 1
-        if terms:
-            for n, value in terms.items():
-                g = _as_gauss(value)
-                if g is None:
-                    raise TypeError(f"cannot promote {value!r} to GaussRational")
-                if g:
-                    parts.append((int(n), g))
-                    den = lcm(den, g.re.denominator, g.im.denominator)
-        # den is the lcm of reduced denominators, so no prime divides it
-        # and every numerator: the form is already canonical.
-        self._re = {n: g.re.numerator * (den // g.re.denominator)
-                    for n, g in parts if g.re}
-        self._im = {n: g.im.numerator * (den // g.im.denominator)
-                    for n, g in parts if g.im}
+        for n, value in (terms or {}).items():
+            c = LaurentScalar.coerce(value)
+            if not c._is_constant():
+                raise TypeError(f"coefficient {value!r} is not a constant")
+            if c:
+                parts.append((int(n), c))
+                den = lcm(den, c._den)
+        # den is the lcm of canonical constants' denominators, so no prime
+        # divides it and every numerator: the form is already canonical.
+        self._re = {n: c._re[0] * (den // c._den) for n, c in parts if c._re}
+        self._im = {n: c._im[0] * (den // c._den) for n, c in parts if c._im}
         self._den = den
 
     # -- constructors ------------------------------------------------
@@ -273,7 +182,7 @@ class LaurentScalar:
         return LaurentScalar({0: r})
 
     @staticmethod
-    def from_gauss(g: GaussRational) -> "LaurentScalar":
+    def from_gauss(g: "LaurentScalar") -> "LaurentScalar":
         return LaurentScalar({0: g})
 
     @staticmethod
@@ -283,12 +192,12 @@ class LaurentScalar:
         if isinstance(value, (int, Fraction)):
             num = value.numerator
             return _canonical({0: num} if num else {}, {}, value.denominator)
-        return LaurentScalar({0: value})
+        raise TypeError(f"cannot promote {value!r} to LaurentScalar")
 
     # -- ring operations ---------------------------------------------
 
     def __add__(self, other) -> "LaurentScalar":
-        if not isinstance(other, (LaurentScalar, int, Fraction, GaussRational)):
+        if not isinstance(other, (LaurentScalar, int, Fraction)):
             return NotImplemented
         other = LaurentScalar.coerce(other)
         d1, d2 = self._den, other._den
@@ -302,7 +211,7 @@ class LaurentScalar:
     __radd__ = __add__
 
     def __sub__(self, other) -> "LaurentScalar":
-        if not isinstance(other, (LaurentScalar, int, Fraction, GaussRational)):
+        if not isinstance(other, (LaurentScalar, int, Fraction)):
             return NotImplemented
         return self + (-LaurentScalar.coerce(other))
 
@@ -310,7 +219,7 @@ class LaurentScalar:
         return LaurentScalar.coerce(other) + (-self)
 
     def __mul__(self, other) -> "LaurentScalar":
-        if not isinstance(other, (LaurentScalar, int, Fraction, GaussRational)):
+        if not isinstance(other, (LaurentScalar, int, Fraction)):
             return NotImplemented
         other = LaurentScalar.coerce(other)
         a, b, c, d = self._re, self._im, other._re, other._im
@@ -346,46 +255,67 @@ class LaurentScalar:
         return _canonical({n: -v for n, v in self._re.items()},
                           {n: -v for n, v in self._im.items()}, self._den)
 
+    def __truediv__(self, other) -> "LaurentScalar":
+        """divide_exact, raising ValueError where the quotient is not exact."""
+        if not isinstance(other, (LaurentScalar, int, Fraction)):
+            return NotImplemented
+        quotient = self.divide_exact(other)
+        if quotient is None:
+            raise ValueError(f"{other} does not divide {self} in Q(i)[q, q^-1]")
+        return quotient
+
     def __pow__(self, k: int) -> "LaurentScalar":
         if k < 0:
-            terms = self._gauss_terms()
-            if len(terms) != 1:
+            # The units of Q(i)[q, q^-1] are the monomials c*q^n.
+            inverse = LaurentScalar.one().divide_exact(self) if self else None
+            if inverse is None:
                 raise ValueError("negative powers only defined for monomials c*q^n")
-            (n, g), = terms.items()
-            return LaurentScalar({-n: GR_ONE / g}) ** -k
+            return inverse ** -k
         out = LaurentScalar.one()
         for _ in range(k):
             out = out * self
         return out
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (LaurentScalar, int, Fraction, GaussRational)):
+        if not isinstance(other, (LaurentScalar, int, Fraction)):
             return NotImplemented
         other = LaurentScalar.coerce(other)
         return (self._den == other._den and self._re == other._re
                 and self._im == other._im)
 
     def __hash__(self) -> int:
-        if self._re.keys() <= {0} and self._im.keys() <= {0}:
-            # A constant hashes like the equal int, Fraction or
-            # GaussRational, as __eq__ requires.
-            return hash(self._gauss_terms().get(0, GaussRational()))
+        if not self._im and self._re.keys() <= {0}:
+            # A real constant hashes like the equal int or Fraction, as
+            # __eq__ requires.
+            return hash(Fraction(self._re.get(0, 0), self._den))
         return hash((frozenset(self._re.items()), frozenset(self._im.items()),
                      self._den))
 
     def __bool__(self) -> bool:
         return bool(self._re or self._im)
 
-    def _gauss_terms(self) -> dict:
-        """exponent -> GaussRational, the form the API hands out."""
-        den = self._den
-        return {n: GaussRational(Fraction(self._re.get(n, 0), den),
-                                 Fraction(self._im.get(n, 0), den))
-                for n in self._re.keys() | self._im.keys()}
+    def _is_constant(self) -> bool:
+        return self._re.keys() <= {0} and self._im.keys() <= {0}
+
+    def _part(self, numerators: dict) -> Fraction:
+        if not self._is_constant():
+            raise ValueError(f"{self} is not a constant")
+        return Fraction(numerators.get(0, 0), self._den)
+
+    re = property(lambda self: self._part(self._re),
+                  doc="The real part of a constant; ValueError if self has q.")
+    im = property(lambda self: self._part(self._im),
+                  doc="The imaginary part of a constant; ValueError if self has q.")
+
+    def _coefficients(self) -> dict:
+        """exponent -> constant coefficient, in no particular order."""
+        re, im, den = self._re, self._im, self._den
+        return {n: _constant(re.get(n, 0), im.get(n, 0), den)
+                for n in re.keys() | im.keys()}
 
     def items(self):
-        """(exponent, coefficient) pairs in descending exponent order."""
-        terms = self._gauss_terms()
+        """(exponent, constant coefficient) pairs, highest exponent first."""
+        terms = self._coefficients()
         return [(n, terms[n]) for n in sorted(terms, reverse=True)]
 
     def conj(self) -> "LaurentScalar":
@@ -393,9 +323,9 @@ class LaurentScalar:
         return _canonical(dict(self._re),
                           {n: -v for n, v in self._im.items()}, self._den)
 
-    def eval_at(self, q0) -> GaussRational:
-        """Exact evaluation at a nonzero rational value of q."""
-        return self.value_at(*q_ratio(q0))._gauss_terms().get(0, GaussRational())
+    def eval_at(self, q0) -> "LaurentScalar":
+        """Exact evaluation at a nonzero rational value of q, a constant."""
+        return self.value_at(*q_ratio(q0))
 
     def value_at(self, p: int, r: int) -> "LaurentScalar":
         """The constant this takes at q = p/r, for ints p != 0 and r > 0.
@@ -419,32 +349,28 @@ class LaurentScalar:
             raise ZeroDivisionError("division by zero LaurentScalar")
         if not self:
             return LaurentScalar.zero()
-        if other._re.keys() <= {0} and other._im.keys() <= {0}:
+        if other._is_constant():
             # 1/((a + bi)/d) = d*(a - bi)/(a^2 + b^2)
             a, b, d = other._re.get(0, 0), other._im.get(0, 0), other._den
-            return self * _canonical({0: d * a} if a else {},
-                                     {0: -d * b} if b else {}, a * a + b * b)
-        # Shift both to ordinary polynomials in q and long-divide.
-        num = self._gauss_terms()
-        den = other._gauss_terms()
-        smin = min(num)
-        omin = min(den)
-        num = {n - smin: g for n, g in num.items()}
-        den = {n - omin: g for n, g in den.items()}
-        ddeg = max(den)
-        dlead = den[ddeg]
+            return self * _constant(d * a, -d * b, a * a + b * b)
+        # Long division on constant coefficients: sub holds -other, so
+        # adding c*q^k*sub cancels the remainder num's top term.  An exact
+        # quotient has no term below q^(lo - min(other)), hence the stop test.
+        num = self._coefficients()
+        sub = {n: -c for n, c in other._coefficients().items()}
+        ddeg = max(sub)
+        inverse = LaurentScalar.one().divide_exact(-sub[ddeg])
+        lo, span = min(num), ddeg - min(sub)
         quo = {}
         while num:
-            ndeg = max(num)
-            if ndeg < ddeg:
+            n = max(num)
+            if n - lo < span:
                 return None
-            c = num[ndeg] / dlead
-            k = ndeg - ddeg
-            quo[k] = c
-            for m, g in den.items():
-                add_term(num, m + k, -(c * g))
-        shift = smin - omin
-        return LaurentScalar({n + shift: g for n, g in quo.items()})
+            k = n - ddeg
+            c = quo[k] = num[n] * inverse
+            for m, g in sub.items():
+                add_term(num, m + k, c * g)
+        return LaurentScalar(quo)
 
     # -- canonical text form -----------------------------------------
 
@@ -456,6 +382,24 @@ class LaurentScalar:
 
     def __repr__(self) -> str:
         return f"LaurentScalar({self.render()!r})"
+
+
+class GaussRational:
+    """The constructor GaussRational(re, im) of the constant re + im*i.
+
+    It returns a LaurentScalar, so no value is ever an instance of this
+    class; re and im are ints or Fractions.
+    """
+
+    def __new__(cls, re=0, im=0) -> LaurentScalar:
+        re, im = Fraction(re), Fraction(im)
+        return _constant(re.numerator * im.denominator,
+                         im.numerator * re.denominator,
+                         re.denominator * im.denominator)
+
+    @staticmethod
+    def of(re, im=0) -> LaurentScalar:
+        return GaussRational(re, im)
 
 
 _SUPER = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")

@@ -217,8 +217,11 @@ def _set_first_generator(field, value):
     (lambda path: path.write_text(path.read_text().replace('"name": "hq"',
                                                            '"name": ["hq"]')),
      "name must be a string"),
+    (lambda path: path.write_text(json.dumps({**json.loads(path.read_text()),
+                                              "description": ["x"]})),
+     "description must be a string"),
 ], ids=["not-utf-8", "grade-z", "rank-1.5", "grade-0.9", "rank-true", "id-list",
-        "name-list"])
+        "name-list", "description-list"])
 def test_load_rejects_a_malformed_file(capsys, tmp_path, corrupt, message):
     target = tmp_path / "hq.json"
     run(capsys, "dump-presentation", "hq", "--output", str(target))

@@ -410,3 +410,90 @@ def test_gauss_rational_promotes_numbers_and_defers_to_other_types():
         g * "a0"
     with pytest.raises(TypeError):
         "a0" + g
+
+
+def ref_divide(a, b):
+    """a/b for a nonzero b, by long division of a and b shifted to
+    ordinary polynomials in q; None if the quotient is not exact."""
+    if not a:
+        return {}
+    amin, bmin = min(a), min(b)
+    rem = shifted(a, -amin)
+    b = shifted(b, -bmin)
+    top = max(b)
+    quo = {}
+    while rem:
+        deg = max(rem)
+        if deg < top:
+            return None
+        term = ref_mul({deg - top: rem[deg]}, ref_inverse_constant(*b[top]))
+        quo = ref_add(quo, term)
+        rem = ref_add(rem, ref_neg(ref_mul(term, b)))
+    return shifted(quo, amin - bmin)
+
+
+def test_long_division_matches_the_fraction_model():
+    rng = random.Random(20037)
+    exact = inexact = 0
+    for _, ra, _, rb in shaped_pairs(count=400, seed=20039):
+        if not rb:
+            continue
+        stray = {rng.randint(-6, 6): (random_part(rng) or Fraction(1), ZERO)}
+        product = ref_mul(ra, rb)
+        for dividend in (ra, product, ref_add(product, stray)):
+            want = ref_divide(dividend, rb)
+            got = to_scalar(dividend).divide_exact(to_scalar(rb))
+            if want is None:
+                assert got is None
+                inexact += 1
+            else:
+                assert_matches(got, want)
+                exact += 1
+    assert exact >= 300 and inexact >= 100
+
+
+def test_negative_powers_of_monomials_match_the_fraction_model():
+    rng = random.Random(20041)
+    for _ in range(100):
+        n = rng.randint(-3, 3)
+        c = (random_part(rng), random_part(rng) or Fraction(1, 2))
+        inverse = shifted(ref_inverse_constant(*c), -n)
+        want = {0: (Fraction(1), ZERO)}
+        for k in (1, 2, 3):
+            want = ref_mul(want, inverse)
+            assert_matches(to_scalar({n: c}) ** -k, want)
+
+
+def test_true_division_is_exact_or_raises():
+    q = LaurentScalar.q_power(1)
+    assert (q ** 2 - 1) / (q + 1) == q - 1
+    assert_matches(GaussRational(1, 2) / 2, {0: (Fraction(1, 2), Fraction(1))})
+    for zero in (0, Fraction(0), LaurentScalar.zero()):
+        with pytest.raises(ZeroDivisionError):
+            q / zero
+    with pytest.raises(ValueError):
+        (q ** 2 + 1) / (q + 1)
+
+
+def test_parts_of_a_non_constant_raise():
+    q = LaurentScalar.q_power(1)
+    for x in (q, q ** -2 + 1, LaurentScalar.i_unit() * q):
+        with pytest.raises(ValueError):
+            x.re
+        with pytest.raises(ValueError):
+            x.im
+
+
+@pytest.mark.parametrize("value", [LaurentScalar.q_power(1), 0.5, "1", None])
+def test_a_coefficient_that_is_not_a_constant_is_a_type_error(value):
+    with pytest.raises(TypeError):
+        LaurentScalar({0: value})
+
+
+def test_gauss_rational_builds_a_canonical_constant():
+    g = GaussRational(1, 2)
+    assert type(g) is LaurentScalar and not isinstance(g, GaussRational)
+    assert_matches(g, {0: (Fraction(1), Fraction(2))})
+    h = GaussRational.of(Fraction(1, 6), Fraction(-3, 4))
+    assert_matches(h, {0: (Fraction(1, 6), Fraction(-3, 4))})
+    assert (h.re, h.im) == (Fraction(1, 6), Fraction(-3, 4))
