@@ -10,10 +10,9 @@ applies, guarded by a step limit.
 
 from __future__ import annotations
 
-import json
 import operator
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .scalar import (LaurentScalar, ScalarParseError, _superscript, add_term,
                      convolve, q_ratio, render_signed_sum)
@@ -58,11 +57,7 @@ def step_limit_default() -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Generator:
-    id: str
-    grade: int
-    rank: int
+Generator = namedtuple("Generator", "id grade rank")
 
 
 class NCPoly:
@@ -416,6 +411,7 @@ class Presentation:
         }
 
     def dump_json(self) -> str:
+        import json  # here, not at the top: `import qcalc` never needs it
         return json.dumps(self.to_obj(), indent=2) + "\n"
 
     @staticmethod
@@ -449,6 +445,7 @@ class Presentation:
 
     @staticmethod
     def load_json(text: str) -> "Presentation":
+        import json
         try:
             obj = json.loads(text)
         except ValueError as exc:  # also a number past the int/str limit

@@ -10,8 +10,6 @@ reversed words with conjugated coefficients).  differential and star
 reduce in the presentation they are given.
 """
 
-from dataclasses import dataclass, field
-
 from .algebra import (
     NCPoly,
     Presentation,
@@ -35,6 +33,7 @@ from .presentations import (
     rat,
     specialize,
 )
+from .report import _Record
 from .scalar import add_term
 
 __all__ = [
@@ -397,12 +396,12 @@ def recover_differentials_on_unit_sphere() -> list:
 VECTOR_FIELD_CONVENTIONS = ("bracket", "printed")
 
 
-@dataclass
-class VectorField:
+class VectorField(_Record):
     """Tabulated action of one frame vector field on low-degree monomials."""
 
-    label: str
-    action: dict = field(default_factory=dict)
+    def __init__(self, label: str, action: dict = None):
+        self.label = label
+        self.action = {} if action is None else action
 
     def __call__(self, p: NCPoly) -> NCPoly:
         out = {}

@@ -125,7 +125,7 @@ def _unit_rules():
 
 def build_units() -> Presentation:
     """Coordinate algebra tensored with the quaternion units."""
-    return _with_units(build_hq(), "units",
+    return _with_units(get_presentation("hq"), "units",
                        "q-quaternion coordinates with central quaternion units")
 
 
@@ -395,12 +395,12 @@ def _with_units(base: Presentation, name: str, description: str) -> Presentation
 
 
 def build_units_dga() -> Presentation:
-    return _with_units(build_dga(), "units_dga",
+    return _with_units(get_presentation("dga"), "units_dga",
                        "differential algebra with central quaternion units")
 
 
 def build_units_cm() -> Presentation:
-    return _with_units(build_cartan_maurer(), "units_cm",
+    return _with_units(get_presentation("cartan_maurer"), "units_cm",
                        "one-form algebra with central quaternion units")
 
 
@@ -535,13 +535,9 @@ def leibniz_consistency_check(dga: Presentation):
 
 def corrected_rule_diff():
     """Rule lhs pairs where the corrected table departs from the printed one."""
-    lit = build_dga(literal=True)
-    cor = build_dga()
-    diffs = []
-    for lhs in sorted(set(lit.rules) | set(cor.rules)):
-        if lit.rules.get(lhs) != cor.rules.get(lhs):
-            diffs.append(lhs)
-    return tuple(diffs)
+    lit, cor = get_presentation("dga_literal").rules, get_presentation("dga").rules
+    return tuple(lhs for lhs in sorted(lit.keys() | cor.keys())
+                 if lit.get(lhs) != cor.get(lhs))
 
 
 def grassmann_vs_differentials_crosscheck():
@@ -554,9 +550,9 @@ def grassmann_vs_differentials_crosscheck():
     rows, the equality of the two squares with each other, and the shared
     square coefficient.  Returns a list of dicts with a "match" flag.
     """
-    printed = build_dga(literal=True)
-    corrected = build_dga()
-    gr = build_grassmann()
+    printed = get_presentation("dga_literal")
+    corrected = get_presentation("dga")
+    gr = get_presentation("grassmann")
     rename = {f"psi{k}": f"da{k}" for k in range(4)}
     images = {k: L(v) for k, v in rename.items()}
     records = []

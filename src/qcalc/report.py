@@ -2,12 +2,12 @@
 
 A report is a list of check records under a suite header.  The JSON
 serialization is canonical: records sorted by id, keys in a fixed
-order, and a volatile-field scrub for byte-level comparisons.
+order, and a volatile-field scrub for byte-level comparisons.  A report
+built without a generated_at gets the current UTC time, to the second;
+one given a generated_at, even the scrubbed "", keeps it.
 """
 
-import json
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+import time
 
 ENGINE_VERSION = "0.1.0"
 
@@ -16,8 +16,20 @@ STATUSES = ("pass", "fail", "finding")
 __all__ = ["CheckRecord", "VerificationReport", "ENGINE_VERSION", "STATUSES"]
 
 
-@dataclass
-class CheckRecord:
+class _Record:
+    """Field-wise == and repr over the attributes, in the order set."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        body = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({body})"
+
+
+class CheckRecord(_Record):
     """Outcome of one named check.
 
     status is pass (contract held), fail (contract broken), or finding
@@ -26,16 +38,16 @@ class CheckRecord:
     corrections lists the rule repairs in effect during the check.
     """
 
-    id: str
-    paper_ref: str
-    status: str
-    residual: str
-    corrections: tuple = ()
-    ms: int = 0
-
-    def __post_init__(self):
-        if self.status not in STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
+    def __init__(self, id: str, paper_ref: str, status: str, residual: str,
+                 corrections: tuple = (), ms: int = 0):
+        if status not in STATUSES:
+            raise ValueError(f"unknown status {status!r}")
+        self.id = id
+        self.paper_ref = paper_ref
+        self.status = status
+        self.residual = residual
+        self.corrections = corrections
+        self.ms = ms
 
     def to_obj(self) -> dict:
         return {
@@ -48,22 +60,19 @@ class CheckRecord:
         }
 
 
-@dataclass
-class VerificationReport:
-    suite: str
-    checks: list = field(default_factory=list)
-    engine_version: str = ENGINE_VERSION
-    generated_at: str = ""
-
-    def __post_init__(self):
-        if not self.generated_at:
-            self.generated_at = datetime.now(timezone.utc).isoformat(
-                timespec="seconds")
-        ids = [c.id for c in self.checks]
+class VerificationReport(_Record):
+    def __init__(self, suite: str, checks: list = (),
+                 engine_version: str = ENGINE_VERSION, generated_at: str = None):
+        if generated_at is None:
+            generated_at = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
+        ids = [c.id for c in checks]
         dupes = {i for i in ids if ids.count(i) > 1}
         if dupes:
             raise ValueError(f"duplicate check ids: {sorted(dupes)}")
-        self.checks = sorted(self.checks, key=lambda c: c.id)
+        self.suite = suite
+        self.checks = sorted(checks, key=lambda c: c.id)
+        self.engine_version = engine_version
+        self.generated_at = generated_at
 
     # -- aggregation ----------------------------------------------------
 
@@ -92,6 +101,7 @@ class VerificationReport:
         return obj
 
     def to_json(self, volatile: bool = True) -> str:
+        import json  # here, not at the top: `import qcalc` never needs it
         return json.dumps(self.to_obj(volatile), indent=2) + "\n"
 
     @staticmethod

@@ -7,7 +7,8 @@ set-up and each stage several checks share are charged to the first
 check after them, and assembles a deterministic report sorted by check
 id.  A check that contradicts its contract is a fail; a documented
 discrepancy or informational value is a finding and never fails a run.
-Residuals are rendered in the presentation they were reduced in.
+Residuals are rendered in the word order of the presentation they were
+reduced in.
 """
 
 import random
@@ -26,7 +27,6 @@ from .calculus import (
     star,
     star_involution_residuals,
     star_table,
-    unit_norm_extension,
     verify_d_star,
     verify_lie_algebra,
     verify_omega_bar_identity,
@@ -191,11 +191,9 @@ def _dga_suite(cap):
         residual = verify_omega_bar_identity(candidate)
         outcome = "pass", "0"
         if residual:
-            if candidate == "star-of-omega":
-                pres = get_presentation("units_cm")
-            else:
-                pres = unit_norm_extension("units_dga")
-            outcome = "finding", _rendered(residual, pres)
+            # units_dga orders words as its unit-norm quotient does
+            universe = "units_cm" if candidate == "star-of-omega" else "units_dga"
+            outcome = "finding", _rendered(residual, get_presentation(universe))
         yield CheckRecord(f"omega_bar.{candidate}",
                           "published boundary one-form identity", *outcome)
 

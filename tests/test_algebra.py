@@ -15,6 +15,7 @@ from qcalc import (
     get_presentation,
     render_poly,
 )
+from qcalc.algebra import Generator
 from qcalc.presentations import build_hq
 
 
@@ -30,6 +31,16 @@ def test_poly_constructors_and_equality():
     assert not NCPoly.zero()
     assert NCPoly.unit() == NCPoly.scalar(1)
     assert NCPoly.scalar(0) == 0
+
+
+def test_generator_is_an_immutable_hashable_record():
+    g = Generator("a0", 0, 0)
+    assert repr(g) == "Generator(id='a0', grade=0, rank=0)"
+    assert g == Generator(id="a0", grade=0, rank=0) == ("a0", 0, 0)
+    assert hash(g) == hash(Generator("a0", 0, 0))
+    assert len({g, Generator("a0", 0, 0), Generator("a0", 0, 1)}) == 2
+    with pytest.raises(AttributeError):
+        g.rank = 1
 
 
 def test_poly_ring_axioms_on_samples():

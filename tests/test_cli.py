@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qcalc
 from qcalc.cli import _FLAGS, _build_argparser, main
 
 NF_A0A1 = ("-(1/2)*i*q*a3^2 + (1/2)*i*q^-1*a3^2 "
@@ -290,3 +295,14 @@ def test_literal_paper_only_applies_to_the_differential_algebra(capsys):
     code, _, err = run(capsys, "nf", "--algebra", "hq", "--literal-paper", "a0")
     assert code == 2
     assert "--literal-paper" in err
+
+
+def test_import_leaves_unused_standard_modules_unloaded():
+    """A cold `import qcalc`, which every command pays, loads none of these."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(Path(qcalc.__file__).parents[1]))
+    unused = ("dataclasses", "inspect", "datetime", "json")
+    code = f"import sys, qcalc; print([m for m in {unused!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "[]\n"

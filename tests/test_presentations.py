@@ -4,12 +4,16 @@ import pytest
 
 from qcalc import (
     NCPoly,
+    Presentation,
     PresentationError,
     get_presentation,
     render_poly,
     shipped_names,
 )
 from qcalc.presentations import (
+    build_units,
+    build_units_cm,
+    build_units_dga,
     classical,
     corrected_rule_diff,
     grassmann_vs_differentials_crosscheck,
@@ -32,6 +36,19 @@ def test_catalog_names_and_aliases():
     assert get_presentation("classical-cm").name == "classical-cartan_maurer"
     with pytest.raises(PresentationError):
         get_presentation("nope")
+
+
+def test_oracles_and_unit_universes_reuse_catalog_presentations(monkeypatch):
+    for name in ("hq", "dga", "dga_literal", "cartan_maurer", "grassmann"):
+        get_presentation(name)
+    built = []
+    monkeypatch.setattr(Presentation, "_validate",
+                        lambda self: built.append(self.name))
+    corrected_rule_diff()
+    grassmann_vs_differentials_crosscheck()
+    assert built == []
+    build_units(), build_units_dga(), build_units_cm()
+    assert built == ["units", "units_dga", "units_cm"]
 
 
 def test_rule_counts_per_universe():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -58,6 +59,31 @@ def test_report_schema_and_round_trip():
     assert obj["engine_version"] == ENGINE_VERSION
     back = VerificationReport.from_obj(obj)
     assert back.to_json() == rep.to_json()
+
+
+def test_scrubbed_report_round_trip_keeps_its_empty_timestamp():
+    scrubbed = VerificationReport("s", [record("a")]).to_obj(volatile=False)
+    assert VerificationReport.from_obj(scrubbed).to_obj()["generated_at"] == ""
+
+
+def test_fresh_timestamp_is_utc_to_the_second():
+    stamp = VerificationReport("s", [record("a")]).generated_at
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+
+
+def test_records_take_keywords_and_compare_field_wise():
+    rec = CheckRecord(id="a", paper_ref="ref", status="pass", residual="0",
+                      corrections=("x",), ms=3)
+    assert rec == CheckRecord("a", "ref", "pass", "0", ("x",), 3)
+    assert rec != CheckRecord("a", "ref", "pass", "0", ("x",), 4)
+    assert repr(rec) == ("CheckRecord(id='a', paper_ref='ref', status='pass', "
+                         "residual='0', corrections=('x',), ms=3)")
+    rep = VerificationReport(suite="s", checks=[rec], engine_version="e",
+                             generated_at="t")
+    assert rep == VerificationReport("s", [rec], "e", "t")
+    assert rep != VerificationReport("s", [rec], "e", "u")
+    assert rep != VerificationReport("s", [record("a")], "e", "t")
+    assert VerificationReport("s").checks == []
 
 
 def test_render_table_summarizes():
