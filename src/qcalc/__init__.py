@@ -13,7 +13,7 @@ from .algebra import (
     NCPoly,
     Presentation,
     PresentationError,
-    StepLimitExceeded,
+    RewritingCycleError,
     UniverseMismatchError,
     UnknownGeneratorError,
     render_poly,
@@ -78,8 +78,8 @@ __all__ = [
     "ParseError",
     "Presentation",
     "PresentationError",
+    "RewritingCycleError",
     "SUITES",
-    "StepLimitExceeded",
     "TensorPoly",
     "UniverseMismatchError",
     "UnknownGeneratorError",

@@ -5,22 +5,18 @@ coefficients.  A Presentation holds a generator table (with a total sort
 rank fixing the normal order) and a set of quadratic rewrite rules keyed
 by the reducible adjacent pair; normal_form rewrites the leftmost
 reducible pair of each pending word, merging equal words, until no rule
-applies, guarded by a step limit.
+applies; a rewriting that never ends raises RewritingCycleError.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 from collections import namedtuple
 
 from .scalar import (LaurentScalar, ScalarParseError, _superscript, add_term,
                      convolve, q_ratio, render_signed_sum)
 
 Word = tuple  # tuple[str, ...]
-
-DEFAULT_STEP_LIMIT = 100_000
-STEP_LIMIT_ENV = "QCALC_STEP_LIMIT"
 
 
 class AlgebraError(ValueError):
@@ -35,26 +31,12 @@ class UniverseMismatchError(AlgebraError):
     pass
 
 
-class StepLimitExceeded(RuntimeError):
+class RewritingCycleError(AlgebraError):
     pass
 
 
 class PresentationError(ValueError):
     pass
-
-
-def step_limit_default() -> int:
-    """Effective default rewrite budget; QCALC_STEP_LIMIT overrides."""
-    raw = os.environ.get(STEP_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_STEP_LIMIT
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise AlgebraError(f"{STEP_LIMIT_ENV} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise AlgebraError(f"{STEP_LIMIT_ENV} must be positive, got {value}")
-    return value
 
 
 Generator = namedtuple("Generator", "id grade rank")
@@ -301,61 +283,69 @@ class Presentation:
                 return i
         return None
 
-    def normal_form(self, p: NCPoly, step_limit=None, trace=None) -> NCPoly:
+    def normal_form(self, p: NCPoly, trace=None) -> NCPoly:
         """Fully reduce p, leftmost reducible pair first.
 
         trace, if given, is a set collecting the lhs pairs of every rule
-        fired on the words of p (none on pending words that cancel).  A
-        cached normal form is charged the steps it cost when computed and
-        traces the rules it fired, so both depend on p alone.
+        on the leftmost rewrite graph of the words of p: the rules that
+        rewriting each word path by path would fire.
         """
         self.check_letters(p)
-        budget = [step_limit if step_limit is not None else step_limit_default()]
         out = {}
         for w, c in sorted(p.terms.items(), key=lambda kv: self.word_sort_key(kv[0])):
-            terms, _, fired = self._nf_word(w, budget)
-            for nw, nc in terms.items():
+            for nw, nc in self._nf_word(w).items():
                 add_term(out, nw, nc * c)
-            if trace is not None:
-                trace.update(fired)
+        if trace is not None:
+            seen, todo = set(), list(p.terms)
+            while todo:
+                w = todo.pop()
+                i = None if w in seen else self._first_redex(w)
+                if i is not None:
+                    seen.add(w)
+                    trace.add(w[i:i + 2])
+                    todo += [w[:i] + rw + w[i + 2:] for rw in self.rules[w[i:i + 2]].terms]
         return NCPoly._of(out, p.universe)
 
-    def _charge(self, budget, steps):
-        if steps > budget[0]:
-            raise StepLimitExceeded(
-                f"step limit exceeded while reducing in {self.name!r}; "
-                f"raise it via the step_limit argument or {STEP_LIMIT_ENV}")
-        budget[0] -= steps
-
-    def _nf_word(self, word, budget):
-        # _nf_cache maps a word to (normal form terms, rewrite steps it
-        # cost, lhs pairs it fired).  Pending words are merged as they
-        # arise and drained first in, first out; leftmost normal form is
-        # linear, so merging changes no result, confluent or not.
-        hit = self._nf_cache.get(word)
+    def _nf_word(self, word):
+        # _nf_cache maps a word to its normal form terms.  Pending words are
+        # merged as they arise and drained first in, first out; a cached one
+        # is added from the cache, not rewritten.  Leftmost normal form is
+        # linear, so neither changes a result, confluent or not.
+        cache = self._nf_cache
+        hit = cache.get(word)
         if hit is not None:
-            self._charge(budget, hit[1])
             return hit
-        start = budget[0]
-        acc, fired = {}, set()
+        acc, rewrites = {}, {}
         pending = {word: LaurentScalar.one()}
         while pending:
             w = next(iter(pending))
             c = pending.pop(w)
+            known = cache.get(w)
+            if known is not None:
+                for nw, nc in known.items():
+                    add_term(acc, nw, nc * c)
+                continue
             i = self._first_redex(w)
             if i is None:
                 add_term(acc, w, c)
                 continue
-            self._charge(budget, 1)
+            # Pending words drain in generations, so the k-th rewrite of w ends
+            # a chain of at least k rewritten words.  Without a cycle no word
+            # repeats on it, so k never exceeds the count of distinct rewritten
+            # words; rhs words are no longer than their lhs, so finitely many
+            # words are reachable and a rewriting that never ends exceeds it.
+            rewrites[w] = k = rewrites.get(w, 0) + 1
+            if k > len(rewrites):
+                raise RewritingCycleError(
+                    f"rewriting cycle in {self.name!r}: reducing "
+                    f"{_render_word(word)} rewrites {_render_word(w)} {k} times")
             pair = (w[i], w[i + 1])
-            fired.add(pair)
             for rw, rc in self.rules[pair].terms.items():
                 add_term(pending, w[:i] + rw + w[i + 2:], c * rc)
-        return self._nf_cache.setdefault(word, (acc, start - budget[0], tuple(fired)))
+        return cache.setdefault(word, acc)
 
-    def nc_equal(self, p: NCPoly, r: NCPoly, step_limit=None) -> bool:
-        diff = p - r
-        return not self.normal_form(diff, step_limit=step_limit).terms
+    def nc_equal(self, p: NCPoly, r: NCPoly) -> bool:
+        return not self.normal_form(p - r).terms
 
     def is_normal(self, p: NCPoly) -> bool:
         return all(self._first_redex(w) is None for w in p.terms)
@@ -373,7 +363,7 @@ class Presentation:
                 out.append((x, y, z))
         return out
 
-    def check_local_confluence(self, step_limit=None):
+    def check_local_confluence(self):
         """Reduce every overlap both ways; return nonzero residuals.
 
         Result: list of (overlap word, residual NCPoly), empty when the
@@ -383,7 +373,7 @@ class Presentation:
         for (x, y, z) in self.overlap_words():
             left = self.rules[(x, y)] * NCPoly.letter(z)
             right = NCPoly.letter(x) * self.rules[(y, z)]
-            residual = self.normal_form(left - right, step_limit=step_limit)
+            residual = self.normal_form(left - right)
             if residual:
                 failures.append(((x, y, z), residual))
         return failures
@@ -425,13 +415,16 @@ class Presentation:
                     for g in obj["generators"]]
             rules = {}
             for entry in obj["rules"]:
-                lhs = tuple(entry["lhs"])
+                lhs = _json_field(entry, "lhs", list)
                 if lhs in rules:
                     raise PresentationError(f"duplicate rule for lhs {lhs}")
                 terms = {}
                 for item in entry["rhs"]:
+                    word = _json_field(item, "word", list)
+                    if word in terms:
+                        raise PresentationError(f"rule for lhs {lhs}: duplicate rhs word {word}")
                     try:
-                        terms[tuple(item["word"])] = parse_scalar(item["coeff"])
+                        terms[word] = parse_scalar(item["coeff"])
                     except ScalarParseError as exc:
                         raise PresentationError(f"rule for lhs {lhs}: bad coefficient "
                                                 f"{item['coeff']!r}: {exc}") from exc
@@ -454,13 +447,14 @@ class Presentation:
 
 
 def _json_field(entry: dict, field: str, kind: type):
-    """entry[field], which must be a JSON value of type kind (a bool is no int)."""
+    """entry[field], a JSON value of type kind (no bool; a list of strings, as a tuple)."""
     value = entry[field]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if kind is int else "a string"
+    if isinstance(value, bool) or not isinstance(value, kind) or (
+            kind is list and not all(isinstance(x, str) for x in value)):
+        noun = {int: "an integer", str: "a string"}.get(kind, "a list of strings")
         raise PresentationError(f"malformed presentation object: {field} "
                                 f"must be {noun}, got {value!r}")
-    return value
+    return tuple(value) if kind is list else value
 
 
 # -- rendering ---------------------------------------------------------

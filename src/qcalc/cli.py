@@ -14,7 +14,6 @@ from .algebra import (
     AlgebraError,
     Presentation,
     PresentationError,
-    StepLimitExceeded,
     render_poly,
 )
 from .calculus import differential, star, star_table
@@ -274,8 +273,7 @@ def main(argv=None) -> int:
     args = _build_argparser().parse_args(_pad_expression_args(argv))
     try:
         return args.fn(args)
-    except (CliError, ParseError, PresentationError, AlgebraError,
-            StepLimitExceeded, OverflowError) as exc:
+    except (CliError, ParseError, PresentationError, AlgebraError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

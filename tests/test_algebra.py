@@ -9,7 +9,7 @@ from qcalc import (
     NCPoly,
     Presentation,
     PresentationError,
-    StepLimitExceeded,
+    RewritingCycleError,
     UniverseMismatchError,
     UnknownGeneratorError,
     get_presentation,
@@ -133,25 +133,26 @@ def test_word_sort_key_orders_by_length_then_rank(hq):
     assert ordered == [("a3", "a2"), ("a2", "a0"), ("a3",), ("a0",)]
 
 
-def test_step_limit_argument_and_env(hq, monkeypatch):
+def test_no_step_limit_argument_or_env(hq, monkeypatch):
     deep = NCPoly.word(("a0", "a1", "a2", "a3"))
-    with pytest.raises(StepLimitExceeded):
+    with pytest.raises(TypeError):
         hq.normal_form(deep, step_limit=2)
     monkeypatch.setenv("QCALC_STEP_LIMIT", "2")
-    with pytest.raises(StepLimitExceeded):
-        hq.normal_form(deep)
-    monkeypatch.delenv("QCALC_STEP_LIMIT")
-    assert hq.normal_form(deep)
+    assert hq.normal_form(deep) == build_hq().normal_form(deep)
 
 
-def test_step_limit_does_not_depend_on_cache_warmth():
-    hq = build_hq()
-    word = NCPoly.word(("a0", "a1", "a2", "a3", "a0", "a1"))
-    with pytest.raises(StepLimitExceeded):
-        hq.normal_form(word, step_limit=20)
-    assert hq.normal_form(word)
-    with pytest.raises(StepLimitExceeded):
-        hq.normal_form(word, step_limit=20)
+def test_a_rewriting_cycle_is_raised_cold_and_warm_and_never_cached():
+    # every 2-letter word terminates, but a*b*a -> 2*a*a*a -> 2*a*b*a
+    obj = {"name": "aba", "generators": [{"id": "a", "grade": 0, "rank": 0},
+                                         {"id": "b", "grade": 0, "rank": 1}],
+           "rules": [{"lhs": ["a", "a"], "rhs": [{"word": ["a", "b"], "coeff": "1"}]},
+                     {"lhs": ["b", "a"], "rhs": [{"word": ["a", "a"], "coeff": "2"}]}]}
+    pres = Presentation.from_obj(obj)
+    for _ in range(2):
+        with pytest.raises(RewritingCycleError, match="rewriting cycle in 'aba'"):
+            pres.normal_form(NCPoly.word(("a", "b", "a")))
+        assert pres.normal_form(NCPoly.word(("b", "a"))) == NCPoly.word(("a", "b"), 2)
+    assert pres._nf_cache == {("b", "a"): {("a", "b"): LaurentScalar.coerce(2)}}
 
 
 def test_trace_collects_rules_used(hq):

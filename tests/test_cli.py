@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import qcalc
+from qcalc import Presentation, presentations
 from qcalc.cli import _FLAGS, _build_argparser, main
 
 NF_A0A1 = ("-(1/2)*i*q*a3^2 + (1/2)*i*q^-1*a3^2 "
@@ -139,11 +140,17 @@ def test_leading_minus_expressions_survive_argument_parsing(capsys):
     assert (code, out.strip()) == (0, "-a0")
 
 
-def test_step_limit_env_is_honored(capsys, monkeypatch):
-    monkeypatch.setenv("QCALC_STEP_LIMIT", "2")
-    code, _, err = run(capsys, "nf", "--algebra", "hq", "a0*a1*a2*a3")
-    assert code == 2
-    assert "step limit exceeded" in err
+def test_a_rewriting_cycle_exits_2(capsys, monkeypatch):
+    cycle = Presentation.from_obj({
+        "name": "cycle",
+        "generators": [{"id": "a", "grade": 0, "rank": 0},
+                       {"id": "b", "grade": 0, "rank": 1}],
+        "rules": [{"lhs": ["a", "b"], "rhs": [{"word": ["b", "a"], "coeff": "1"}]},
+                  {"lhs": ["b", "a"], "rhs": [{"word": ["a", "b"], "coeff": "1"}]}]})
+    monkeypatch.setitem(presentations._cache, "cycle", cycle)
+    code, out, err = run(capsys, "nf", "--algebra", "cycle", "a*a*b")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: rewriting cycle in 'cycle'") and err.count("\n") == 1
 
 
 def test_verify_writes_a_report(capsys, tmp_path):
@@ -211,6 +218,14 @@ def _set_first_generator(field, value):
     return corrupt
 
 
+def _edit_first_rule(edit):
+    def corrupt(path):
+        obj = json.loads(path.read_text())
+        edit(obj["rules"][0])
+        path.write_text(json.dumps(obj))
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda path: path.write_bytes(b"\xff\xfe" + path.read_bytes()),
      "is not UTF-8 text"),
@@ -225,8 +240,14 @@ def _set_first_generator(field, value):
     (lambda path: path.write_text(json.dumps({**json.loads(path.read_text()),
                                               "description": ["x"]})),
      "description must be a string"),
+    (_edit_first_rule(lambda rule: rule.update(lhs="".join(rule["lhs"]))),
+     "lhs must be a list of strings"),
+    (_edit_first_rule(lambda rule: rule["rhs"][0].update(word="a3 a2")),
+     "word must be a list of strings"),
+    (_edit_first_rule(lambda rule: rule["rhs"].append({**rule["rhs"][0], "coeff": "5"})),
+     "duplicate rhs word"),
 ], ids=["not-utf-8", "grade-z", "rank-1.5", "grade-0.9", "rank-true", "id-list",
-        "name-list", "description-list"])
+        "name-list", "description-list", "lhs-string", "word-string", "rhs-word-repeated"])
 def test_load_rejects_a_malformed_file(capsys, tmp_path, corrupt, message):
     target = tmp_path / "hq.json"
     run(capsys, "dump-presentation", "hq", "--output", str(target))

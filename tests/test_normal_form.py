@@ -1,11 +1,11 @@
-"""normal_form against an independent leftmost rewriter, and its limits.
+"""normal_form against an independent leftmost rewriter, and its cycles.
 
 The reference below rewrites a stack of (word, coefficient) paths, each
 at its leftmost reducible pair, with no cache and no merging of equal
 words.  Leftmost normal form is linear, so the engine, which merges
-pending words, must give the same result in confluent and non-confluent
-universes alike.  It fires a subset of the reference's rules: a word
-whose merged coefficient cancels is never rewritten.
+pending words and reuses cached normal forms, must give the same result
+in confluent and non-confluent universes alike, and trace the same
+rules.  A rewriting that never ends must raise RewritingCycleError.
 """
 
 import itertools
@@ -13,8 +13,9 @@ import random
 
 import pytest
 
-from qcalc import (NCPoly, Presentation, StepLimitExceeded, get_presentation,
+from qcalc import (NCPoly, Presentation, RewritingCycleError, get_presentation,
                    specialize)
+from qcalc.algebra import Generator
 from qcalc.calculus import unit_norm_extension
 from qcalc.cli import main
 from qcalc.presentations import (build_dga, build_hq, leibniz_consistency_check,
@@ -64,7 +65,7 @@ def test_normal_form_matches_the_leftmost_reference(pres, max_len):
         got = pres.normal_form(NCPoly.word(word, universe=pres.name), trace=used)
         terms, fired = leftmost_reference(pres, word)
         assert got.terms == terms, word
-        assert used <= fired, word
+        assert used == fired, word
 
 
 def test_literal_leibniz_rows_trace_the_reference_rules():
@@ -91,9 +92,13 @@ def test_deep_words_reduce_under_the_default_limit(build, letters, size):
         assert nf.eval_at(1) == NCPoly.word(letters[::-1])
 
 
-@pytest.mark.parametrize("build, length", [(build_hq, 5), (build_dga, 4)],
-                         ids=["hq", "dga"])
-def test_steps_and_rules_do_not_depend_on_cache_warmth(build, length):
+@pytest.mark.parametrize("build, length", [
+    (build_hq, 5),
+    (build_dga, 4),
+    (lambda: build_dga(literal=True), 4),
+    (lambda: unit_norm_extension("units_dga"), 3),
+], ids=["hq", "dga", "dga_literal", "units_dga+unit_norm"])
+def test_normal_forms_and_traces_do_not_depend_on_cache_warmth(build, length):
     cold, warm = build(), build()
     gens = warm.generator_ids()
     for n in range(1, length):
@@ -101,27 +106,100 @@ def test_steps_and_rules_do_not_depend_on_cache_warmth(build, length):
             warm.normal_form(NCPoly.word(word))
     rng = random.Random(length)
     for _ in range(20):
-        word = tuple(rng.choice(gens) for _ in range(length))
-        _, steps, fired = cold._nf_word(word, [10 ** 6])
-        _, warm_steps, warm_fired = warm._nf_word(word, [10 ** 6])
-        assert (steps, fired) == (warm_steps, warm_fired), word
+        word = NCPoly.word([rng.choice(gens) for _ in range(length)])
+        cold_rules, warm_rules = set(), set()
+        nf = cold.normal_form(word, trace=cold_rules)
+        assert warm.normal_form(word, trace=warm_rules) == nf, word
+        assert cold_rules == warm_rules, word
 
 
-CYCLE = {
-    "name": "cycle",
-    "generators": [{"id": "a", "grade": 0, "rank": 0},
-                   {"id": "b", "grade": 0, "rank": 1}],
-    "rules": [{"lhs": ["a", "b"], "rhs": [{"word": ["b", "a"], "coeff": "1"}]},
-              {"lhs": ["b", "a"], "rhs": [{"word": ["a", "b"], "coeff": "1"}]}],
-}
+def _two_rule_universe(name, rules):
+    return Presentation.from_obj({
+        "name": name,
+        "generators": [{"id": "a", "grade": 0, "rank": 0},
+                       {"id": "b", "grade": 0, "rank": 1}],
+        "rules": [{"lhs": list(lhs), "rhs": [{"word": list(rhs), "coeff": "1"}]}
+                  for lhs, rhs in rules]})
 
 
-def test_a_rewriting_cycle_hits_the_step_limit(capsys, tmp_path):
-    pres = Presentation.from_obj(CYCLE)
-    with pytest.raises(StepLimitExceeded):
-        pres.normal_form(NCPoly.word(("a", "b")))
+# a*b and b*a rewrite to each other
+CYCLE = _two_rule_universe("cycle", [("ab", "ba"), ("ba", "ab")])
+# every 2-letter word terminates, but a*b*a -> a*a*a -> a*b*a
+LONG_CYCLE = _two_rule_universe("long_cycle", [("aa", "ab"), ("ba", "aa")])
+
+
+def _cycling_words(pres, max_len):
+    """Words of length up to max_len whose reduction raises, in order."""
+    out = []
+    for n in range(1, max_len + 1):
+        for word in itertools.product("ab", repeat=n):
+            try:
+                pres.normal_form(NCPoly.word(word))
+            except RewritingCycleError as exc:
+                assert str(exc).startswith(f"rewriting cycle in {pres.name!r}")
+                out.append(word)
+    return out
+
+
+@pytest.mark.parametrize("pres, first", [(CYCLE, ("a", "b")),
+                                         (LONG_CYCLE, ("a", "a", "a"))],
+                         ids=["cycle", "long_cycle"])
+def test_a_rewriting_cycle_is_raised_cold_and_warm(capsys, tmp_path, pres, first):
+    cold = Presentation.from_obj(pres.to_obj())
+    with pytest.raises(RewritingCycleError):
+        cold.normal_form(NCPoly.word(first))
+    # the second pass meets every terminating word of the first cached
+    cycling = _cycling_words(cold, 4)
+    assert cycling[0] == first
+    assert _cycling_words(cold, 4) == cycling
+    assert all(len(w) > 2 for w in cycling) == (pres is LONG_CYCLE)
     target = tmp_path / "cycle.json"
     target.write_text(pres.dump_json())
     assert main(["load-presentation", str(target)]) == 2
     out = capsys.readouterr()
-    assert out.out == "" and out.err.startswith("error: step limit exceeded")
+    assert out.out == "" and out.err.startswith("error: rewriting cycle")
+
+
+def _reaches_a_cycle(pres, word):
+    """Whether the leftmost rewrite graph of word has a cycle (DFS)."""
+    on_path, done = set(), set()
+
+    def visit(w):
+        on_path.add(w)
+        i = next((i for i in range(len(w) - 1) if w[i:i + 2] in pres.rules), None)
+        children = () if i is None else (
+            w[:i] + rw + w[i + 2:] for rw in pres.rules[w[i:i + 2]].terms)
+        for child in children:
+            if child in on_path or (child not in done and visit(child)):
+                return True
+        on_path.discard(w)
+        done.add(w)
+        return False
+
+    return visit(tuple(word))
+
+
+def test_random_universes_report_only_real_cycles():
+    rng = random.Random(19)
+    letters = ("x", "y", "z")
+    pairs = list(itertools.product(letters, repeat=2))
+    rhs_words = [()] + [(g,) for g in letters] + pairs
+    raised = 0
+    for n in range(300):
+        rules = {}
+        for lhs in rng.sample(pairs, rng.randint(1, 5)):
+            words = rng.sample([w for w in rhs_words if w != lhs], rng.randint(1, 2))
+            rules[lhs] = NCPoly({w: rng.choice((-2, -1, 1, 2)) for w in words})
+        pres = Presentation(f"random{n}",
+                            [Generator(g, 0, r) for r, g in enumerate(letters)], rules)
+        for length in (2, 3):
+            for word in itertools.product(letters, repeat=length):
+                try:
+                    got = pres.normal_form(NCPoly.word(word))
+                except RewritingCycleError:
+                    raised += 1
+                    assert _reaches_a_cycle(pres, word), (rules, word)
+                    continue
+                if not _reaches_a_cycle(pres, word):
+                    assert got.terms == leftmost_reference(pres, word)[0], (rules, word)
+    assert raised > 0
