@@ -138,7 +138,9 @@ class NCPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset((w, c) for w, c in self.terms.items()))
+        if not self.terms:
+            return hash(0)  # zero equals 0, so it hashes as 0 does
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self.terms)

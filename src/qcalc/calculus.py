@@ -1,7 +1,7 @@
 """Differential structure on the deformed quaternion algebras.
 
 Provides the graded exterior differential, the star antiinvolution with
-its per-universe letter tables, conversion between coordinate
+its one letter-image table, conversion between coordinate
 differentials and the invariant one-form frame, the two-form table, and
 vector-field extraction with Lie-algebra verification.
 
@@ -23,6 +23,7 @@ from .presentations import (
     E,
     I,
     L,
+    N_INV,
     ONE,
     S,
     W,
@@ -86,69 +87,44 @@ def nilpotency_residuals(pres: Presentation = None):
 # -- star antiinvolution -------------------------------------------------
 
 
-def _a_star_images():
+def _star_images() -> dict:
+    """The published star image of every letter that has one."""
     a0, a1, a2, a3 = (L(g) for g in A)
+    da0, da1, da2, da3 = (L(g) for g in DA)
+    w0, w1, w2, w3 = (L(g) for g in W)
     return {
         "a0": a0,
         "a1": a1,
         "a2": C * a2 - I * S * a3,
         "a3": I * S * a2 + C * a3,
-    }
-
-
-def _da_star_images():
-    da0, da1, da2, da3 = (L(g) for g in DA)
-    return {
         "da0": qp(2) * da0,
         "da1": qp(2) * da1,
         "da2": qp(2) * (C * da2 - I * S * da3),
         "da3": qp(2) * (I * S * da2 + C * da3),
-    }
-
-
-def _w_star_images():
-    w0, w1, w2, w3 = (L(g) for g in W)
-    return {
         "w0": qp(-2) * w0 + I * (qp(-2) - ONE) * w1,
         "w1": w1,
         "w2": w2,
         "w3": w3,
+        **{gid: -L(gid) for gid in E},
+        N_INV: L(N_INV),
     }
 
 
-def _e_star_images():
-    return {gid: -L(gid) for gid in E}
-
-
-_TABLE_PARTS = {
-    "hq": (_a_star_images,),
-    "hq_localized": (_a_star_images,),
-    "units": (_a_star_images, _e_star_images),
-    "dga": (_a_star_images, _da_star_images),
-    "cartan_maurer": (_a_star_images, _w_star_images),
-    "units_dga": (_a_star_images, _da_star_images, _e_star_images),
-    "units_cm": (_a_star_images, _w_star_images, _e_star_images),
-}
+# built once; no code changes an NCPoly after building it
+_STAR_IMAGES = _star_images()
 
 
 def star_table(name: str) -> dict:
-    """Letter-to-image map of the star antiinvolution for a universe."""
-    base = name
-    at_one = False
-    if base.startswith("classical-"):
-        base = base[len("classical-"):]
-        at_one = True
-    if base == "cm":
-        base = "cartan_maurer"
-    parts = _TABLE_PARTS.get(base)
-    if parts is None:
+    """Letter-to-image map of the star antiinvolution for a universe.
+
+    Read off the presentation's generators, each of which needs an
+    image; classical-* tables are taken at q = 1.
+    """
+    pres = get_presentation(name)
+    if any(g.id not in _STAR_IMAGES for g in pres.generators):
         raise PresentationError(f"no star structure defined for universe {name!r}")
-    table = {}
-    for part in parts:
-        table.update(part())
-    if base == "hq_localized":
-        table["n_inv"] = L("n_inv")
-    if at_one:
+    table = {g.id: _STAR_IMAGES[g.id] for g in pres.generators}
+    if pres.name.startswith("classical-"):
         table = {k: v.eval_at(1) for k, v in table.items()}
     return table
 
@@ -269,7 +245,7 @@ def one_form_consistency_residuals():
     """
     cm = get_presentation("cartan_maurer")
     dga = get_presentation("dga")
-    images = {k: NCPoly(dict(v.terms), dga.name) for k, v in omega_forms().items()}
+    images = omega_forms()
     out = []
     for lhs in sorted(cm.rules):
         rel = NCPoly.word(lhs) - cm.rules[lhs]
@@ -309,7 +285,7 @@ def unit_norm_extension(name: str = "units_dga",
     rules[("a0", "a0")] = sphere
     has_da = all(any(g.id == d for g in base.generators) for d in DA)
     if has_da and with_norm_differential:
-        dn = differential(NCPoly(dict(norm_poly().terms), base.name), base)
+        dn = differential(norm_poly(), base)
         pivot = ("da2", "a2")
         c = dn.terms[pivot]
         rest = dn - NCPoly.word(pivot, c)
@@ -352,7 +328,7 @@ def verify_omega_bar_identity(candidate: str) -> NCPoly:
         e = {0: NCPoly.scalar(ONE, u)}
         for j in (1, 2, 3):
             e[j] = NCPoly.letter(f"e{j}", u)
-        astar = {k: NCPoly(dict(v.terms), u) for k, v in enumerate(_a_star_images().values())}
+        astar = {k: _STAR_IMAGES[g] for k, g in enumerate(A)}
         sign = {k: rat(1 if k == 0 else -1) for k in range(4)}
         omega = NCPoly.zero(u)
         for k in range(4):

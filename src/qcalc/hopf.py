@@ -13,7 +13,7 @@ import operator
 
 from .algebra import NCPoly, Presentation, _render_word, substitute
 from .scalar import LaurentScalar, add_term, convolve, render_signed_sum
-from .calculus import star, star_table
+from .calculus import _STAR_IMAGES, star, star_table
 from .presentations import A, C, L, ONE, get_presentation, norm_poly, rat
 
 __all__ = [
@@ -197,13 +197,12 @@ def counit(p: NCPoly) -> LaurentScalar:
 
 
 def _antipode_images():
-    table = star_table("hq")
     n_inv = L("n_inv")
     images = {}
     for gid in A:
-        body = rat(2 if gid == "a0" else 0) * L("a0") - table[gid]
+        body = rat(2 if gid == "a0" else 0) * L("a0") - _STAR_IMAGES[gid]
         images[gid] = n_inv * body
-    images["n_inv"] = NCPoly(dict(norm_poly().terms))
+    images["n_inv"] = norm_poly()
     return images
 
 
@@ -290,7 +289,7 @@ def verify_hopf_axioms():
     loc = get_presentation("hq_localized")
     table = star_table("hq")
     images = _coproduct_images()
-    n = NCPoly(dict(norm_poly().terms))
+    n = norm_poly()
     records = []
 
     def exact(check_id, residual, detail=""):
@@ -354,7 +353,7 @@ def verify_hopf_axioms():
           "coproduct of the norm is the norm twice")
     exact("norm.counit", NCPoly.scalar(counit(n) - ONE, hq.name),
           "counit sends the norm to one")
-    exact("norm.star", star(NCPoly(dict(n.terms), hq.name), table, hq) - n,
+    exact("norm.star", star(n, table, hq) - n,
           "the norm is self-adjoint")
 
     sample = NCPoly.word(("a3", "a1"), universe=loc.name) + rat(2) * NCPoly.letter(
@@ -364,7 +363,6 @@ def verify_hopf_axioms():
           loc.normal_form(n_inv * sample - sample * n_inv),
           "inverse norm commutes with a sample element")
     exact("localized.cancel",
-          reduce_norm_factors(NCPoly(dict((n * n_inv).terms), loc.name))
-          - NCPoly.scalar(ONE, loc.name),
+          reduce_norm_factors(n * n_inv) - NCPoly.scalar(ONE, loc.name),
           "norm times inverse norm collapses to one")
     return records

@@ -31,6 +31,8 @@ def test_poly_constructors_and_equality():
     assert not NCPoly.zero()
     assert NCPoly.unit() == NCPoly.scalar(1)
     assert NCPoly.scalar(0) == 0
+    assert hash(NCPoly.zero()) == hash(0)
+    assert len({NCPoly.zero(), 0}) == 1
 
 
 def test_generator_is_an_immutable_hashable_record():

@@ -3,7 +3,9 @@ import pytest
 import qcalc.calculus
 from qcalc import NCPoly, PresentationError, get_presentation, render_poly
 from qcalc.calculus import (
+    _STAR_IMAGES,
     OMEGA_BAR_CANDIDATES,
+    _star_images,
     _frame_parts,
     _monomial_basis,
     cartan_maurer_d,
@@ -25,7 +27,8 @@ from qcalc.calculus import (
     verify_lie_algebra,
     verify_omega_bar_identity,
 )
-from qcalc.presentations import rat
+from qcalc.presentations import rat, shipped_names
+from qcalc.verify import run_suite
 
 
 def test_differential_of_letters_and_products():
@@ -52,6 +55,31 @@ def test_star_tables_per_universe():
         "a0", "a1", "a2", "a3", "w0", "w1", "w2", "w3"}
     with pytest.raises(PresentationError):
         star_table("grassmann")
+
+
+@pytest.mark.parametrize("name", [*shipped_names(), "units_dga", "units_cm",
+                                  "hq_localized", "cm", "classical-cm"])
+def test_star_table_is_read_off_the_generators(name):
+    pres = get_presentation(name)
+    if name in ("grassmann", "classical-grassmann"):
+        with pytest.raises(PresentationError, match="no star structure"):
+            star_table(name)
+        return
+    table = star_table(name)
+    assert set(table) == {g.id for g in pres.generators}
+    if pres.name.startswith("classical-"):
+        assert all(c._is_constant() for image in table.values()
+                   for c in image.terms.values())
+
+
+def test_literal_dga_has_the_star_table_of_dga():
+    assert star_table("dga_literal") == star_table("dga")
+    assert star_table("classical-dga_literal") == star_table("classical-dga")
+
+
+def test_star_images_are_unchanged_by_a_full_run():
+    run_suite("all")
+    assert _STAR_IMAGES == _star_images()
 
 
 def test_star_worked_value_on_the_third_coordinate():

@@ -91,6 +91,18 @@ def test_apply_star_coproduct_counit_antipode(capsys):
            "- (1/2)*q*a2*n_inv - (1/2)*q^-1*a2*n_inv")
 
 
+def test_literal_paper_star_uses_the_letters_of_dga(capsys):
+    code, out, _ = run(capsys, "apply", "star", "--literal-paper",
+                       "--algebra", "dga", "da1")
+    assert (code, out.strip()) == (0, "q^2*da1")
+
+
+def test_star_on_a_universe_without_one_exits_2(capsys):
+    code, out, err = run(capsys, "apply", "star", "--algebra", "grassmann", "psi1")
+    assert (code, out) == (2, "")
+    assert err == "error: no star structure defined for universe 'grassmann'\n"
+
+
 def test_coproduct_unicode_rendering(capsys):
     # words take superscripts and the tensor sign; q exponents stay ASCII
     code, out, _ = run(capsys, "apply", "coproduct", "--unicode", "a0*a1")
