@@ -161,10 +161,6 @@ class NCPoly:
                 terms[w] = v
         return NCPoly._of(terms, self.universe)
 
-    def degree(self):
-        """Maximum word length, or None for the zero polynomial."""
-        return max((len(w) for w in self.terms), default=None)
-
     def __repr__(self):
         inner = " + ".join(f"{c.render()}·{'·'.join(w) or '1'}" for w, c in self.terms.items())
         return f"NCPoly({inner or '0'})"

@@ -477,22 +477,49 @@ def extract_vector_fields(cap: int, convention: str = "bracket",
     return tuple(fields[k] for k in W)
 
 
-def _operator_residual(expr, monomials, reducer):
-    worst = []
-    for w in monomials:
-        val = reducer(expr(NCPoly.word(w)))
-        if val.terms:
-            worst.append((w, val))
-    return worst
+def _lie_rows(classical: bool) -> dict:
+    """The displayed generator relations as coefficient rows.
+
+    A row maps operator keys to coefficients, over twenty operators:
+    (k,) is n_k and (i, j) is n_i∘n_j, that is n_i(n_j(w)).  A relation
+    holds on a monomial when its combination vanishes there.
+    """
+    if classical:
+        return {
+            "[n1,n2]+2n3": {(1, 2): 1, (2, 1): -1, (3,): 2},
+            "[n2,n3]+2n1": {(2, 3): 1, (3, 2): -1, (1,): 2},
+            "[n3,n1]+2n2": {(3, 1): 1, (1, 3): -1, (2,): 2},
+            "[n1,n0]": {(1, 0): 1, (0, 1): -1},
+            "[n2,n0]": {(2, 0): 1, (0, 2): -1},
+            "[n3,n0]": {(3, 0): 1, (0, 3): -1},
+        }
+    c22 = (qp(2) + qp(-2)) * rat(1, 2)
+    d22 = (qp(2) - qp(-2)) * rat(1, 2)
+    h = (qp(1) - qp(-1)) * (qp(1) - qp(-1)) * rat(1, 2)
+    lo = qp(-2) + ONE
+    li = I * (qp(-2) - ONE)
+    return {
+        "n0n1-n1n0": {(0, 1): 1, (1, 0): -1},
+        "n0n2-n2n0": {(0, 2): 1, (2, 0): -1},
+        "n0n3-n3n0": {(0, 3): 1, (3, 0): -1},
+        "n1n2-row": {(1, 2): 1, (2, 1): -c22, (3,): lo, (2,): -li,
+                     (0, 1): I * h, (3, 0): d22, (3, 1): I * d22},
+        "n1n3-row": {(1, 3): 1, (3, 1): -c22, (2,): -lo, (3,): li,
+                     (0, 1): I * h, (2, 0): -d22, (2, 1): -I * d22},
+        "n3n2-row": {(3, 2): 1, (2, 3): -1, (1,): -lo, (0,): li,
+                     (0, 0): -I * d22, (1, 1): -h, (0, 1): qp(-2) - ONE},
+    }
 
 
 def verify_lie_algebra(cap: int, mode: str, convention: str = "bracket"):
     """Evaluate the displayed generator relations on all monomials up to cap.
 
     classical mode checks the six bracket identities at q=1; quantum
-    mode evaluates the deformed relations.  Returns a list of records
-    with any violating monomials; empty failure lists mean the relation
-    holds on the sampled module.
+    mode evaluates the deformed relations (_lie_rows).  Returns a list
+    of records with any violating monomials; empty failure lists mean
+    the relation holds on the sampled module.  On each monomial every
+    operator the rows name is evaluated once, and each row is summed
+    from those images and reduced in hq.
 
     The fields are tabulated only up to cap because every frame part
     keeps the length of its word.  In f_m(a*u) = g_m(a)*u +
@@ -508,55 +535,26 @@ def verify_lie_algebra(cap: int, mode: str, convention: str = "bracket"):
     classical = mode == "classical"
     if mode not in ("classical", "quantum"):
         raise ValueError(f"unknown mode {mode!r}")
-    prefix = "classical-" if classical else ""
-    hq = get_presentation(prefix + "hq")
-    reducer = hq.normal_form
-    n0, n1, n2, n3 = extract_vector_fields(
+    hq = get_presentation(("classical-" if classical else "") + "hq")
+    fields = extract_vector_fields(
         max(cap, 1), convention=convention, classical=classical)
-    monomials = [()] + list(_monomial_basis(cap))
-    records = []
-
-    def compose(f, g):
-        return lambda p: f(g(p))
-
-    def add(label, expr):
-        records.append({
-            "relation": label,
-            "convention": convention,
-            "failures": _operator_residual(expr, monomials, reducer),
-        })
-
-    if classical:
-        def bracket(f, g):
-            return lambda p: f(g(p)) - g(f(p))
-
-        add("[n1,n2]+2n3", lambda p: bracket(n1, n2)(p) + rat(2) * n3(p))
-        add("[n2,n3]+2n1", lambda p: bracket(n2, n3)(p) + rat(2) * n1(p))
-        add("[n3,n1]+2n2", lambda p: bracket(n3, n1)(p) + rat(2) * n2(p))
-        add("[n1,n0]", bracket(n1, n0))
-        add("[n2,n0]", bracket(n2, n0))
-        add("[n3,n0]", bracket(n3, n0))
-        return records
-
-    c22 = (qp(2) + qp(-2)) * rat(1, 2)
-    d22 = (qp(2) - qp(-2)) * rat(1, 2)
-    sq = (qp(1) - qp(-1)) * (qp(1) - qp(-1))
-    lo = qp(-2) + ONE
-    li = I * (qp(-2) - ONE)
-
-    add("n0n1-n1n0", lambda p: compose(n0, n1)(p) - compose(n1, n0)(p))
-    add("n0n2-n2n0", lambda p: compose(n0, n2)(p) - compose(n2, n0)(p))
-    add("n0n3-n3n0", lambda p: compose(n0, n3)(p) - compose(n3, n0)(p))
-    add("n1n2-row", lambda p: compose(n1, n2)(p) - (
-        c22 * compose(n2, n1)(p) - lo * n3(p) + li * n2(p)
-        - I * sq * rat(1, 2) * compose(n0, n1)(p)
-        - d22 * (compose(n3, n0)(p) + I * compose(n3, n1)(p))))
-    add("n1n3-row", lambda p: compose(n1, n3)(p) - (
-        c22 * compose(n3, n1)(p) + lo * n2(p) - li * n3(p)
-        - I * sq * rat(1, 2) * compose(n0, n1)(p)
-        + d22 * (compose(n2, n0)(p) + I * compose(n2, n1)(p))))
-    add("n3n2-row", lambda p: compose(n3, n2)(p) - (
-        compose(n2, n3)(p) + lo * n1(p) - li * n0(p)
-        + I * d22 * compose(n0, n0)(p) + sq * rat(1, 2) * compose(n1, n1)(p)
-        + (ONE - qp(-2)) * compose(n0, n1)(p)))
+    rows = _lie_rows(classical)
+    keys = {key for row in rows.values() for key in row}
+    inner = sorted({key[-1] for key in keys})
+    pairs = sorted(key for key in keys if len(key) == 2)
+    records = [{"relation": label, "convention": convention, "failures": []}
+               for label in rows]
+    for w in [()] + list(_monomial_basis(cap)):
+        p = NCPoly.word(w)
+        images = {(j,): fields[j](p) for j in inner}
+        for i, j in pairs:
+            images[(i, j)] = fields[i](images[(j,)])
+        for record, row in zip(records, rows.values()):
+            acc = {}
+            for key, c in row.items():
+                for v, d in images[key].terms.items():
+                    add_term(acc, v, d * c)
+            residual = hq.normal_form(NCPoly._of(acc))
+            if residual:
+                record["failures"].append((w, residual))
     return records

@@ -50,16 +50,19 @@ __all__ = ["SUITES", "QUANTUM_FIELD_CAP", "run_suite"]
 
 
 def _rendered(p, pres) -> str:
+    """A residual rendered in pres; "" when it is zero."""
+    if not p:
+        return ""
     if isinstance(p, TensorPoly):
         return p.render(pres)
     return render_poly(p, pres)
 
 
-def _exactness(residual, pres):
-    """pass on a zero residual, else fail with it rendered in pres."""
-    if residual:
-        return "fail", _rendered(residual, pres)
-    return "pass", "0"
+def _check(check_id, paper_ref, problem, status="fail", corrections=()):
+    """pass with "0" when problem is "", else status with problem as residual."""
+    if problem:
+        return CheckRecord(check_id, paper_ref, status, problem, corrections)
+    return CheckRecord(check_id, paper_ref, "pass", "0", corrections)
 
 
 def _exact_rows(prefix, paper_ref, rows, pres, corrections=()):
@@ -67,8 +70,8 @@ def _exact_rows(prefix, paper_ref, rows, pres, corrections=()):
     for key, residual in rows:
         if isinstance(key, tuple):
             key = ".".join(key)
-        yield CheckRecord(f"{prefix}.{key}", paper_ref,
-                          *_exactness(residual, pres), corrections)
+        yield _check(f"{prefix}.{key}", paper_ref, _rendered(residual, pres),
+                     corrections=corrections)
 
 
 # -- differential suite ----------------------------------------------------
@@ -80,12 +83,10 @@ def _dga_suite(cap):
 
     for name in ("hq", "units", "dga", "cartan_maurer", "dga_literal"):
         failures = get_presentation(name).check_local_confluence()
-        outcome = "pass", "0"
-        if failures:
-            outcome = ("finding" if name == "dga_literal" else "fail",
-                       f"{len(failures)} failing overlaps")
-        yield CheckRecord(f"confluence.{name}", "derived: overlap analysis",
-                          *outcome, da_fix if name == "dga" else ())
+        yield _check(f"confluence.{name}", "derived: overlap analysis",
+                     f"{len(failures)} failing overlaps" if failures else "",
+                     "finding" if name == "dga_literal" else "fail",
+                     da_fix if name == "dga" else ())
 
     hq = get_presentation("hq")
     cl = get_presentation("classical-hq")
@@ -113,14 +114,13 @@ def _dga_suite(cap):
     unattributed = [r for r in bad if not (r["rules_used"] & repaired)
                     and r["lhs"] not in repaired]
     if unattributed:
-        outcome = "fail", (f"{len(unattributed)} nonzero rows do not involve "
-                           "a repaired rule")
+        outcome = (f"{len(unattributed)} nonzero rows do not involve a "
+                   "repaired rule", "fail")
     else:
-        outcome = "finding", (f"{len(bad)} of {len(rows)} rows nonzero, every "
-                              "one attributable to a repaired rule")
-    yield CheckRecord("leibniz.literal",
-                      "published mixed commutation table as printed",
-                      *outcome, da_fix)
+        outcome = (f"{len(bad)} of {len(rows)} rows nonzero, every one "
+                   "attributable to a repaired rule", "finding")
+    yield _check("leibniz.literal", "published mixed commutation table as printed",
+                 *outcome, da_fix)
 
     yield from _exact_rows("nilpotency", "derived: nilpotency of the differential",
                            nilpotency_residuals(), dga, da_fix)
@@ -137,33 +137,28 @@ def _dga_suite(cap):
     rows = conversion_closure_residuals(literal=True)
     bad = [aid for aid, residual in rows if residual]
     if len(bad) != len(rows):
-        outcome = "fail", f"printed first row leaves only {len(bad)} nonzero rows"
+        outcome = f"printed first row leaves only {len(bad)} nonzero rows", "fail"
     else:
-        outcome = "finding", (f"{len(bad)} of {len(rows)} rows nonzero under "
-                              "the printed first two-form row")
-    yield CheckRecord("closure.literal", "published two-form table as printed",
-                      *outcome, da_fix)
+        outcome = (f"{len(bad)} of {len(rows)} rows nonzero under the printed "
+                   "first two-form row", "finding")
+    yield _check("closure.literal", "published two-form table as printed",
+                 *outcome, da_fix)
 
     yield from _exact_rows("d_star", "published star interchange identity",
                            ((f"a{k}", verify_d_star(k)) for k in range(4)), cm)
 
     da0 = da_from_w()["a0"]
     residual = cm.normal_form(star(da0, star_table(cm.name), cm) - qp(2) * da0)
-    yield CheckRecord("d_star.worked_example",
-                      "published star interchange identity",
-                      *_exactness(residual, cm))
+    yield _check("d_star.worked_example", "published star interchange identity",
+                 _rendered(residual, cm))
 
     involutive = ("hq", "units", "classical-dga", "classical-cartan_maurer")
     for name in involutive + ("dga", "cartan_maurer"):
-        nonzero = [(gid, r) for gid, r in star_involution_residuals(name) if r]
-        outcome = "pass", "0"
-        if nonzero:
-            pres = get_presentation(name)
-            outcome = ("fail" if name in involutive else "finding",
-                       "; ".join(f"{gid}: {_rendered(r, pres)}"
-                                 for gid, r in nonzero))
-        yield CheckRecord(f"star_involution.{name}", "published star tables",
-                          *outcome)
+        pres = get_presentation(name)
+        yield _check(f"star_involution.{name}", "published star tables",
+                     "; ".join(f"{gid}: {_rendered(r, pres)}"
+                               for gid, r in star_involution_residuals(name) if r),
+                     "fail" if name in involutive else "finding")
 
     for name in involutive:
         pres = get_presentation(name)
@@ -176,21 +171,15 @@ def _dga_suite(cap):
             p = pres.normal_form(NCPoly.word(word, universe=pres.name))
             if star(star(p, table, pres), table, pres) - p:
                 moved += 1
-        outcome = "pass", "0"
-        if moved:
-            outcome = "fail", f"{moved} of 100 words moved"
-        yield CheckRecord(f"star_roundtrip.{name}", "published star tables",
-                          *outcome)
+        yield _check(f"star_roundtrip.{name}", "published star tables",
+                     f"{moved} of 100 words moved" if moved else "")
 
     for candidate in OMEGA_BAR_CANDIDATES:
-        residual = verify_omega_bar_identity(candidate)
-        outcome = "pass", "0"
-        if residual:
-            # units_dga orders words as its unit-norm quotient does
-            universe = "units_cm" if candidate == "star-of-omega" else "units_dga"
-            outcome = "finding", _rendered(residual, get_presentation(universe))
-        yield CheckRecord(f"omega_bar.{candidate}",
-                          "published boundary one-form identity", *outcome)
+        # units_dga orders words as its unit-norm quotient does
+        universe = "units_cm" if candidate == "star-of-omega" else "units_dga"
+        yield _check(f"omega_bar.{candidate}", "published boundary one-form identity",
+                     _rendered(verify_omega_bar_identity(candidate),
+                               get_presentation(universe)), "finding")
 
     # rows are reduced in the q = 1 unit-norm quotient of dga, which keeps
     # the generators of classical-dga
@@ -216,15 +205,21 @@ _HOPF_GROUPS = {
 def _hopf_suite(cap):
     for rec in verify_hopf_axioms():
         ref, universe = _HOPF_GROUPS[rec["id"].split(".", 1)[0]]
-        pres = get_presentation(universe)
-        if rec["kind"] == "informational":
-            outcome = "finding", _rendered(rec["residual"], pres)
-        else:
-            outcome = _exactness(rec["residual"], pres)
-        yield CheckRecord(f"hopf.{rec['id']}", ref, *outcome)
+        yield _check(f"hopf.{rec['id']}", ref,
+                     _rendered(rec["residual"], get_presentation(universe)),
+                     "finding" if rec["kind"] == "informational" else "fail")
 
 
 # -- classical suite ---------------------------------------------------------
+
+
+def _violations(failures, pres, where=""):
+    """How many monomials a Lie row fails on, and the first one's residual."""
+    if not failures:
+        return ""
+    word, residual = failures[0]
+    return (f"{len(failures)} monomials violate{where}; first "
+            f"{'*'.join(word) or '1'}: {_rendered(residual, pres)}")
 
 
 _CLASSICAL_BRACKETS = ("n1.n2", "n2.n3", "n3.n1", "n1.n0", "n2.n0", "n3.n0")
@@ -234,26 +229,16 @@ def _classical_suite(cap):
     cl = get_presentation("classical-hq")
     records = verify_lie_algebra(cap, "classical", convention="bracket")
     for label, rec in zip(_CLASSICAL_BRACKETS, records):
-        failures = rec["failures"]
-        outcome = "pass", "0"
-        if failures:
-            word, residual = failures[0]
-            outcome = "fail", (f"{len(failures)} monomials violate; first "
-                               f"{'*'.join(word) or '1'}: "
-                               f"{_rendered(residual, cl)}")
-        yield CheckRecord(f"classical.bracket.{label}",
-                          "published classical bracket table", *outcome)
+        yield _check(f"classical.bracket.{label}", "published classical bracket table",
+                     _violations(rec["failures"], cl))
 
     counts = [len(r["failures"]) for r in
               verify_lie_algebra(cap, "classical", convention="printed")]
-    outcome = "pass", "0"
-    if any(counts):
-        outcome = "finding", ("halved-readoff normalization violates the "
-                              f"cyclic rows on {counts[:3]} monomials "
-                              f"(commuting rows {counts[3:]}); the plain "
-                              "readoff satisfies all six")
-    yield CheckRecord("classical.bracket_printed",
-                      "published frame expansion normalization", *outcome)
+    problem = ("halved-readoff normalization violates the cyclic rows on "
+               f"{counts[:3]} monomials (commuting rows {counts[3:]}); the "
+               "plain readoff satisfies all six")
+    yield _check("classical.bracket_printed", "published frame expansion normalization",
+                 problem if any(counts) else "", "finding")
 
     cl_cm = get_presentation("classical-cartan_maurer")
     targets = (
@@ -265,10 +250,9 @@ def _classical_suite(cap):
     for k, target in enumerate(targets):
         got = cartan_maurer_d(k).eval_at(1)
         residual = cl_cm.normal_form(got) - cl_cm.normal_form(target)
-        yield CheckRecord(f"classical.two_form_limit.w{k}",
-                          "published classical two-forms",
-                          *_exactness(residual, cl_cm),
-                          ("dw0: quadratic term letter order",))
+        yield _check(f"classical.two_form_limit.w{k}", "published classical two-forms",
+                     _rendered(residual, cl_cm),
+                     corrections=("dw0: quadratic term letter order",))
 
 
 # -- Grassmann suite ----------------------------------------------------------
@@ -276,22 +260,17 @@ def _classical_suite(cap):
 
 def _grassmann_suite(cap):
     failures = get_presentation("grassmann").check_local_confluence()
-    outcome = "pass", "0"
-    if failures:
-        outcome = "fail", f"{len(failures)} failing overlaps"
-    yield CheckRecord("confluence.grassmann", "derived: overlap analysis",
-                      *outcome)
+    yield _check("confluence.grassmann", "derived: overlap analysis",
+                 f"{len(failures)} failing overlaps" if failures else "")
 
     dga = get_presentation("dga")
     for rec in grassmann_vs_differentials_crosscheck():
-        outcome = "pass", "0"
-        if not rec["match"]:
-            # residuals are differences of rules in the repaired table
-            outcome = ("finding",
-                       f"{_rendered(rec['residual'], dga)} ({rec['detail']})")
-        yield CheckRecord(f"grassmann.crosscheck.{rec['id']}",
-                          "published odd-generator table vs differential table",
-                          *outcome)
+        # residuals are differences of rules in the repaired table
+        yield _check(f"grassmann.crosscheck.{rec['id']}",
+                     "published odd-generator table vs differential table",
+                     "" if rec["match"] else
+                     f"{_rendered(rec['residual'], dga)} ({rec['detail']})",
+                     "finding")
 
 
 # -- vector-field suite --------------------------------------------------------
@@ -302,17 +281,10 @@ def _vector_field_suite(cap):
     for convention in VECTOR_FIELD_CONVENTIONS:
         for rec in verify_lie_algebra(QUANTUM_FIELD_CAP, "quantum",
                                       convention=convention):
-            failures = rec["failures"]
-            outcome = "pass", "0"
-            if failures:
-                word, residual = failures[0]
-                outcome = "finding", (
-                    f"{len(failures)} monomials violate at cap "
-                    f"{QUANTUM_FIELD_CAP}; first {'*'.join(word) or '1'}: "
-                    f"{_rendered(residual, hq)}")
-            yield CheckRecord(f"quantum.{convention}.{rec['relation']}",
-                              "published deformed generator relations",
-                              *outcome)
+            yield _check(f"quantum.{convention}.{rec['relation']}",
+                         "published deformed generator relations",
+                         _violations(rec["failures"], hq,
+                                     f" at cap {QUANTUM_FIELD_CAP}"), "finding")
 
 
 # -- runner ---------------------------------------------------------------

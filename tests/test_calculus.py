@@ -184,17 +184,19 @@ def test_lie_algebra_rejects_a_negative_cap(cap, mode):
 @pytest.mark.parametrize("mode", ["quantum", "classical"])
 def test_lie_algebra_at_cap_zero_checks_the_constant_monomial(monkeypatch, mode):
     seen = []
-    evaluate = qcalc.calculus._operator_residual
+    apply = qcalc.calculus.VectorField.__call__
 
-    def spy(expr, monomials, reducer):
-        seen.append(list(monomials))
-        return evaluate(expr, monomials, reducer)
+    def spy(field, p):
+        seen.append(p)
+        return apply(field, p)
 
-    monkeypatch.setattr(qcalc.calculus, "_operator_residual", spy)
+    monkeypatch.setattr(qcalc.calculus.VectorField, "__call__", spy)
     records = verify_lie_algebra(0, mode)
     assert len(records) == 6
     assert all(row["failures"] == [] for row in records)
-    assert seen == [[()]] * 6
+    # the fields meet the constant monomial and its (zero) images only
+    assert [()] in [list(p.terms) for p in seen]
+    assert all(set(p.terms) <= {()} for p in seen)
 
 
 def test_printed_vector_fields_are_half_the_bracket_ones():

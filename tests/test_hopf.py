@@ -8,6 +8,7 @@ from qcalc import (
 )
 from qcalc.hopf import (
     TensorPoly,
+    _antipode_images,
     antipode,
     antipode_square,
     coproduct,
@@ -36,6 +37,15 @@ def test_tensor_construction_and_arithmetic():
     prod = t * s
     assert prod == tensor(letter("a0") * letter("a2"),
                           letter("a1") * letter("a3"))
+
+
+def test_tensor_sum_with_a_non_tensor_is_a_type_error():
+    t = tensor(letter("a0"), letter("a1"))
+    for other in (1, letter("a0")):
+        with pytest.raises(TypeError):
+            t + other
+        with pytest.raises(TypeError):
+            t - other
 
 
 def test_tensor_leg_count_is_enforced():
@@ -107,6 +117,10 @@ def test_antipode_images_are_localized():
         -NCPoly.word(("a1", "n_inv"), universe=loc.name)
 
 
+def test_antipode_images_are_built_once():
+    assert _antipode_images() is _antipode_images()
+
+
 def test_antipode_law_convolves_to_the_counit_on_generators():
     loc = get_presentation("hq_localized")
     for gid in A:
@@ -153,6 +167,7 @@ def test_antipode_square_frozen_values():
 
 def test_hopf_axiom_suite_is_exact(hopf_records):
     assert len(hopf_records) == 55
+    assert all(r.keys() == {"id", "kind", "residual"} for r in hopf_records)
     exact = [r for r in hopf_records if r["kind"] == "exact"]
     info = [r for r in hopf_records if r["kind"] == "informational"]
     assert len(exact) == 51

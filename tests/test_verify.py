@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from qcalc import verify
+from qcalc import NCPoly, get_presentation, render_poly, verify
+from qcalc.calculus import star_involution_residuals
+from qcalc.hopf import antipode_square
 from qcalc.verify import SUITES, run_suite
 
 ORACLE = (Path(__file__).resolve().parents[1]
@@ -70,3 +72,34 @@ def test_full_suite_executes_and_renders_every_check():
     assert all(isinstance(c.residual, str) for c in report.checks)
     # the report must stay byte-identical to the benchmark's verify oracle
     assert report.to_json(volatile=False) == ORACLE.read_text()
+
+
+def _generic_values(check_id):
+    """The generic-q values behind a report check, and their q = 1 universe."""
+    group, _, key = check_id.rpartition(".")
+    if group == "hopf.antipode.square":
+        return [antipode_square(key)], "classical-hq_localized"
+    assert group == "star_involution"
+    return [r for _, r in star_involution_residuals(key) if r], "classical-" + key
+
+
+@pytest.mark.parametrize("check_id,limits", [
+    ("hopf.antipode.square.a0", ["a0"]),
+    # S^2(a1) at q = 1 is a1*N*n_inv, not a1: reduce_norm_factors does not
+    # cancel this norm against its inverse.  The value is expected to
+    # change once the localized presentation cancels the norm exactly.
+    ("hopf.antipode.square.a1",
+     ["a3^2*a1*n_inv + a2^2*a1*n_inv + a1^3*n_inv + a1*a0^2*n_inv"]),
+    ("hopf.antipode.square.a2", ["a2"]),
+    ("hopf.antipode.square.a3", ["a3"]),
+    # every nonzero star defect is a q-deformation and vanishes at q = 1
+    ("star_involution.dga", ["0"] * 4),
+    ("star_involution.cartan_maurer", ["0"]),
+])
+def test_generic_q_checks_reach_their_classical_limits(check_id, limits):
+    oracle = {c["id"]: c for c in json.loads(ORACLE.read_text())["checks"]}
+    assert oracle[check_id]["status"] == "finding"
+    values, universe = _generic_values(check_id)
+    cl = get_presentation(universe)
+    assert [render_poly(cl.normal_form(NCPoly(dict(v.eval_at(1).terms), cl.name)), cl)
+            for v in values] == limits
