@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
+from fractions import Fraction
 
 from .scalar import (LaurentScalar, ScalarParseError, _superscript, add_term,
                      convolve, q_ratio, render_signed_sum)
@@ -132,14 +133,15 @@ class NCPoly:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NCPoly):
-            if isinstance(other, (int,)) and other == 0:
-                return not self.terms
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, LaurentScalar)):
+                return NotImplemented
+            other = NCPoly.scalar(other)
         return self.terms == other.terms
 
     def __hash__(self):
-        if not self.terms:
-            return hash(0)  # zero equals 0, so it hashes as 0 does
+        if self.terms.keys() <= {()}:
+            # a constant equals its number, so it hashes as the number does
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
@@ -196,6 +198,7 @@ class Presentation:
         self._rank = {g.id: g.rank for g in self.generators}
         self._grade = {g.id: g.grade for g in self.generators}
         self._nf_cache = {}
+        self._nf_values = {}  # one shared object per word and coefficient cached
         self._validate()
 
     # -- validation ----------------------------------------------------
@@ -308,7 +311,9 @@ class Presentation:
         # _nf_cache maps a word to its normal form terms.  Pending words are
         # merged as they arise and drained first in, first out; a cached one
         # is added from the cache, not rewritten.  Leftmost normal form is
-        # linear, so neither changes a result, confluent or not.
+        # linear, so neither changes a result, confluent or not.  Each word
+        # and coefficient is stored as _nf_values' representative of its
+        # value, so equal ones share one immutable object.
         cache = self._nf_cache
         hit = cache.get(word)
         if hit is not None:
@@ -340,7 +345,9 @@ class Presentation:
             pair = (w[i], w[i + 1])
             for rw, rc in self.rules[pair].terms.items():
                 add_term(pending, w[:i] + rw + w[i + 2:], c * rc)
-        return cache.setdefault(word, acc)
+        keep = self._nf_values.setdefault
+        return cache.setdefault(keep(word, word),
+                                {keep(w, w): keep(c, c) for w, c in acc.items()})
 
     def nc_equal(self, p: NCPoly, r: NCPoly) -> bool:
         return not self.normal_form(p - r).terms

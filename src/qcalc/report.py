@@ -65,8 +65,9 @@ class VerificationReport(_Record):
                  engine_version: str = ENGINE_VERSION, generated_at: str = None):
         if generated_at is None:
             generated_at = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
-        ids = [c.id for c in checks]
-        dupes = {i for i in ids if ids.count(i) > 1}
+        seen, dupes = set(), set()
+        for c in checks:
+            (dupes if c.id in seen else seen).add(c.id)
         if dupes:
             raise ValueError(f"duplicate check ids: {sorted(dupes)}")
         self.suite = suite

@@ -277,17 +277,19 @@ class LaurentScalar:
         return out
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (LaurentScalar, int, Fraction)):
-            return NotImplemented
-        other = LaurentScalar.coerce(other)
+        if not isinstance(other, LaurentScalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentScalar.coerce(other)
         return (self._den == other._den and self._re == other._re
                 and self._im == other._im)
 
     def __hash__(self) -> int:
         if not self._im and self._re.keys() <= {0}:
             # A real constant hashes like the equal int or Fraction, as
-            # __eq__ requires.
-            return hash(Fraction(self._re.get(0, 0), self._den))
+            # __eq__ requires; an integer one needs no Fraction for that.
+            num = self._re.get(0, 0)
+            return hash(num) if self._den == 1 else hash(Fraction(num, self._den))
         return hash((frozenset(self._re.items()), frozenset(self._im.items()),
                      self._den))
 

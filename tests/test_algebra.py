@@ -35,6 +35,20 @@ def test_poly_constructors_and_equality():
     assert len({NCPoly.zero(), 0}) == 1
 
 
+def test_a_constant_polynomial_equals_its_value():
+    two = NCPoly.scalar(2, "hq")
+    assert two == 2 and 2 == two
+    assert two == Fraction(2) and two == LaurentScalar.coerce(2)
+    assert NCPoly.unit() == 1 and NCPoly.scalar(Fraction(1, 2)) == Fraction(1, 2)
+    assert two != 3 and NCPoly.zero() != 1 and NCPoly.letter("a0") != 1
+    assert NCPoly.word((), 2) + NCPoly.letter("a0") != 2
+    i_half = LaurentScalar.coerce(Fraction(1, 2)) * LaurentScalar.i_unit()
+    assert NCPoly.scalar(i_half) == i_half
+    assert hash(NCPoly.scalar(i_half)) == hash(i_half)
+    assert len({two, 2, Fraction(2), LaurentScalar.coerce(2)}) == 1
+    assert len({NCPoly.scalar(Fraction(1, 2)), Fraction(1, 2)}) == 1
+
+
 def test_generator_is_an_immutable_hashable_record():
     g = Generator("a0", 0, 0)
     assert repr(g) == "Generator(id='a0', grade=0, rank=0)"

@@ -113,6 +113,17 @@ def test_normal_forms_and_traces_do_not_depend_on_cache_warmth(build, length):
         assert cold_rules == warm_rules, word
 
 
+def test_the_cache_stores_each_word_and_coefficient_once():
+    pres = build_dga()
+    for word in itertools.product(pres.generator_ids(), repeat=3):
+        pres.normal_form(NCPoly.word(word))
+    cache = pres._nf_cache
+    words = [w for key, terms in cache.items() for w in (key, *terms)]
+    coeffs = [c for terms in cache.values() for c in terms.values()]
+    assert len({id(w) for w in words}) == len(set(words)) == 8 ** 3
+    assert len({id(c) for c in coeffs}) == len(set(coeffs))
+
+
 def _two_rule_universe(name, rules):
     return Presentation.from_obj({
         "name": name,

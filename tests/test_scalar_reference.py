@@ -366,7 +366,7 @@ def test_coerced_constants_are_canonical(value):
     assert_canonical(LaurentScalar.coerce(value))
 
 
-@pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2)])
+@pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2), -1])
 def test_real_constants_hash_like_the_equal_number(value):
     x = LaurentScalar.coerce(value)
     assert x == value

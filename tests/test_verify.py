@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from qcalc import NCPoly, get_presentation, render_poly, verify
-from qcalc.calculus import star_involution_residuals
+from qcalc.calculus import star_involution_residuals, verify_omega_bar_identity
 from qcalc.hopf import antipode_square
 from qcalc.verify import SUITES, run_suite
 
@@ -74,13 +74,24 @@ def test_full_suite_executes_and_renders_every_check():
     assert report.to_json(volatile=False) == ORACLE.read_text()
 
 
-def _generic_values(check_id):
+def _generic_values(check_id, quantum_lie_records):
     """The generic-q values behind a report check, and their q = 1 universe."""
     group, _, key = check_id.rpartition(".")
     if group == "hopf.antipode.square":
         return [antipode_square(key)], "classical-hq_localized"
+    if group == "omega_bar":
+        universe = "units_cm" if key == "star-of-omega" else "units_dga"
+        return [verify_omega_bar_identity(key)], "classical-" + universe
+    if group.startswith("quantum."):
+        record, = [r for r in quantum_lie_records[group.partition(".")[2]]
+                   if r["relation"] == key]
+        return [r for _, r in record["failures"]], "classical-hq"
     assert group == "star_involution"
     return [r for _, r in star_involution_residuals(key) if r], "classical-" + key
+
+
+_DEFORMED_ROWS = ("n1n2-row", "n1n3-row", "n3n2-row")
+_NONZERO = "any value but 0"
 
 
 @pytest.mark.parametrize("check_id,limits", [
@@ -95,11 +106,25 @@ def _generic_values(check_id):
     # every nonzero star defect is a q-deformation and vanishes at q = 1
     ("star_involution.dga", ["0"] * 4),
     ("star_involution.cartan_maurer", ["0"]),
+    # this reading of the bar form fails even classically
+    ("omega_bar.star-of-omega", ["(2)*w0"]),
+    # units_dga+unit_norm has failing overlaps, so this limit is not yet a
+    # theorem: another reduction order may leave a different residual
+    ("omega_bar.h-dhstar", ["0"]),
+    # each of the 14 failing monomials (cap 2) of a deformed row: the bracket
+    # rows reach the classical table, the printed ones stay off it
+    *[(f"quantum.bracket.{row}", ["0"] * 14) for row in _DEFORMED_ROWS],
+    *[(f"quantum.printed.{row}", [first] + [_NONZERO] * 13)
+      for row, first in zip(_DEFORMED_ROWS, ["-(1/2)*a0", "(1/2)*a1", "(1/2)*a2"])],
 ])
-def test_generic_q_checks_reach_their_classical_limits(check_id, limits):
+def test_generic_q_checks_reach_their_classical_limits(check_id, limits,
+                                                       quantum_lie_records):
     oracle = {c["id"]: c for c in json.loads(ORACLE.read_text())["checks"]}
     assert oracle[check_id]["status"] == "finding"
-    values, universe = _generic_values(check_id)
+    values, universe = _generic_values(check_id, quantum_lie_records)
     cl = get_presentation(universe)
-    assert [render_poly(cl.normal_form(NCPoly(dict(v.eval_at(1).terms), cl.name)), cl)
-            for v in values] == limits
+    got = [render_poly(cl.normal_form(NCPoly(dict(v.eval_at(1).terms), cl.name)), cl)
+           for v in values]
+    assert len(got) == len(limits)
+    assert [_NONZERO if want == _NONZERO and r != "0" else r
+            for r, want in zip(got, limits)] == limits
