@@ -58,10 +58,10 @@ def main():
     sample = parse("a0*a2", hq)
     print(f"  generic q : nf(a0*a2) = {render_poly(hq.normal_form(sample), hq)}")
     print(f"  q = 1     : nf(a0*a2) ="
-          f" {render_poly(classical.normal_form(sample.eval_at(1)), classical)}"
+          f" {render_poly(classical.normal_form(sample), classical)}"
           "   (coordinates commute)")
     print(f"  q = 2     : nf(a0*a2) ="
-          f" {render_poly(at2.normal_form(sample.eval_at(2)), at2)}")
+          f" {render_poly(at2.normal_form(sample), at2)}")
 
 
 if __name__ == "__main__":

@@ -84,7 +84,7 @@ def main():
     print("== classical limit of the frame derivatives ==")
     ccm = get_presentation("classical-cartan_maurer")
     for k in range(4):
-        at1 = ccm.normal_form(cartan_maurer_d(k).eval_at(1))
+        at1 = ccm.normal_form(cartan_maurer_d(k))
         print(f"  q = 1: d(w{k}) = {render_poly(at1, ccm)}")
 
 

@@ -189,6 +189,8 @@ def substitute(p: NCPoly, images: dict, pres: "Presentation" = None) -> NCPoly:
 class Presentation:
     """Generator table plus quadratic rewrite rules; immutable once built."""
 
+    q = None  # the Fraction specialize evaluated the rules at; None: generic
+
     def __init__(self, name: str, generators, rules, description: str = ""):
         self.name = name
         self.generators = list(generators)
@@ -287,11 +289,15 @@ class Presentation:
     def normal_form(self, p: NCPoly, trace=None) -> NCPoly:
         """Fully reduce p, leftmost reducible pair first.
 
+        A specialized presentation evaluates p at its q first, which
+        leftmost normal form, linear over the coefficients, allows.
         trace, if given, is a set collecting the lhs pairs of every rule
         on the leftmost rewrite graph of the words of p: the rules that
         rewriting each word path by path would fire.
         """
         self.check_letters(p)
+        if self.q is not None:
+            p = p.eval_at(self.q)
         out = {}
         for w, c in sorted(p.terms.items(), key=lambda kv: self.word_sort_key(kv[0])):
             for nw, nc in self._nf_word(w).items():

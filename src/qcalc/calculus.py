@@ -118,14 +118,14 @@ def star_table(name: str) -> dict:
     """Letter-to-image map of the star antiinvolution for a universe.
 
     Read off the presentation's generators, each of which needs an
-    image; classical-* tables are taken at q = 1.
+    image; a specialized presentation's table is taken at its q.
     """
     pres = get_presentation(name)
     if any(g.id not in _STAR_IMAGES for g in pres.generators):
         raise PresentationError(f"no star structure defined for universe {name!r}")
     table = {g.id: _STAR_IMAGES[g.id] for g in pres.generators}
-    if pres.name.startswith("classical-"):
-        table = {k: v.eval_at(1) for k, v in table.items()}
+    if pres.q is not None:
+        table = {k: v.eval_at(pres.q) for k, v in table.items()}
     return table
 
 
@@ -362,7 +362,7 @@ def recover_differentials_on_unit_sphere() -> list:
     at_one = specialize(ext, 1, name="classical-" + ext.name)
     u = at_one.name
     forms = omega_forms()
-    images = {k: NCPoly(dict(v.eval_at(1).terms), u) for k, v in forms.items()}
+    images = {k: NCPoly(dict(v.terms), u) for k, v in forms.items()}
     return [(aid, substitute(row, images, at_one) - NCPoly.letter("d" + aid, u))
             for aid, row in da_from_w().items()]
 
@@ -399,8 +399,6 @@ def coordinate_frame_coefficients(f: NCPoly, classical: bool = False) -> dict:
     images = {
         "d" + aid: NCPoly(dict(row.terms), cm.name) for aid, row in rows.items()
     }
-    if classical:
-        images = {k: v.eval_at(1) for k, v in images.items()}
     df = differential(NCPoly(dict(f.terms), dga.name), dga)
     converted = substitute(df, images, cm)
     parts = {k: NCPoly.zero() for k in W}

@@ -34,16 +34,18 @@ class CliError(Exception):
     """Usage-level problem; maps to exit code 2."""
 
 
-def _algebra_name(args) -> str:
-    name = args.algebra
+def _algebra_name(args, with_d=False) -> str:
+    """Catalog name of --algebra; with_d names the universe with d letters."""
+    prefix, base = "", args.algebra
+    if base.startswith("classical-"):
+        prefix, base = "classical-", base[len("classical-"):]
     if getattr(args, "literal_paper", False):
-        prefix, base = "", name
-        if name.startswith("classical-"):
-            prefix, base = "classical-", name[len("classical-"):]
         if base != "dga":
             raise CliError("--literal-paper applies to the dga algebra only")
-        name = prefix + "dga_literal"
-    return name
+        base = "dga_literal"
+    elif with_d:
+        base = _D_UPGRADES.get(base, base)
+    return prefix + base
 
 
 def _q_value(args):
@@ -67,37 +69,22 @@ def _q_value(args):
     return value
 
 
-def _maybe_specialize(pres: Presentation, args) -> Presentation:
+def _presentation(args, with_d=False) -> Presentation:
+    pres = get_presentation(_algebra_name(args, with_d))
     value = _q_value(args)
-    if value is None:
-        return pres
-    return specialize(pres, value)
-
-
-def _presentation(args) -> Presentation:
-    return _maybe_specialize(get_presentation(_algebra_name(args)), args)
-
-
-def _parse_expr(text, pres, args):
-    p = parse(text, pres)
-    value = _q_value(args)
-    if value is not None:
-        p = p.eval_at(value)
-    return p
+    return pres if value is None else specialize(pres, value)
 
 
 def _cmd_nf(args) -> int:
     pres = _presentation(args)
-    p = _parse_expr(args.expr, pres, args)
+    p = parse(args.expr, pres)
     print(render_poly(pres.normal_form(p), pres, unicode_mode=args.unicode))
     return 0
 
 
 def _cmd_check(args) -> int:
     pres = _presentation(args)
-    lhs = _parse_expr(args.lhs, pres, args)
-    rhs = _parse_expr(args.rhs, pres, args)
-    residual = pres.normal_form(lhs - rhs)
+    residual = pres.normal_form(parse(args.lhs, pres) - parse(args.rhs, pres))
     if not residual:
         print("EQUAL")
         return 0
@@ -107,34 +94,17 @@ def _cmd_check(args) -> int:
 
 def _cmd_apply(args) -> int:
     op = args.op
-    if op == "d":
-        name = _algebra_name(args)
-        prefix, base = "", name
-        if name.startswith("classical-"):
-            prefix, base = "classical-", name[len("classical-"):]
-        base = _D_UPGRADES.get(base, base)
-        pres = get_presentation(prefix + base)
-        if not any(g.id == "da0" for g in pres.generators):
+    if op in ("d", "star"):
+        pres = _presentation(args, with_d=op == "d")
+        if op == "star":
+            table = star_table(_algebra_name(args))
+        elif not any(g.id == "da0" for g in pres.generators):
             raise CliError(
                 f"the differential needs differential letters; "
-                f"universe {name!r} has none")
-        pres = _maybe_specialize(pres, args)
-        p = _parse_expr(args.expr, pres, args)
-        print(render_poly(differential(p, pres), pres,
-                          unicode_mode=args.unicode))
-        return 0
-    if op == "star":
-        pres = _presentation(args)
-        try:
-            table = star_table(_algebra_name(args))
-        except PresentationError as exc:
-            raise CliError(str(exc)) from exc
-        value = _q_value(args)
-        if value is not None:
-            table = {k: v.eval_at(value) for k, v in table.items()}
-        p = _parse_expr(args.expr, pres, args)
-        print(render_poly(star(p, table, pres), pres,
-                          unicode_mode=args.unicode))
+                f"universe {args.algebra!r} has none")
+        p = parse(args.expr, pres)
+        result = star(p, table, pres) if op == "star" else differential(p, pres)
+        print(render_poly(result, pres, unicode_mode=args.unicode))
         return 0
     if args.at_q is not None:
         raise CliError(f"{op} runs at generic q; drop --at-q")
@@ -142,7 +112,7 @@ def _cmd_apply(args) -> int:
         raise CliError(f"{op} is defined on the coordinate Hopf algebra; "
                        "use --algebra hq")
     hq = get_presentation("hq")
-    p = _parse_expr(args.expr, hq, args)
+    p = parse(args.expr, hq)
     if op == "coproduct":
         print(coproduct(p).render(hq, unicode_mode=args.unicode))
         return 0

@@ -421,17 +421,24 @@ def build_hq_localized() -> Presentation:
 # -- specialization ------------------------------------------------------
 
 def specialize(pres: Presentation, q0, name=None) -> Presentation:
-    """Evaluate every rule coefficient at a nonzero rational q value."""
+    """Evaluate every rule coefficient at a nonzero rational q value.
+
+    The result's q is q0, at which its normal_form evaluates each input;
+    a presentation already specialized at another value is refused.
+    """
     q0 = Fraction(q0)
-    rules = {}
-    for lhs, rhs in pres.rules.items():
-        rules[lhs] = rhs.eval_at(q0)
-    return Presentation(
+    if pres.q not in (None, q0):
+        raise PresentationError(
+            f"{pres.name} is already specialized at q = {pres.q}")
+    rules = {lhs: rhs.eval_at(q0) for lhs, rhs in pres.rules.items()}
+    out = Presentation(
         name or f"{pres.name}@q={q0}",
         pres.generators,
         rules,
         f"{pres.description} (q = {q0})",
     )
+    out.q = q0
+    return out
 
 
 def classical(pres: Presentation) -> Presentation:

@@ -118,6 +118,27 @@ def test_apply_d_upgrades_the_universe(capsys):
         0, "(1/2)*i*q*da1*da0 - (1/2)*i*q^-1*da1*da0")
 
 
+def test_a_classical_universe_evaluates_q_in_every_expression(capsys):
+    code, out, _ = run(capsys, "check", "--algebra", "classical-hq", "q*a0", "a0")
+    assert (code, out.strip()) == (0, "EQUAL")
+    code, out, _ = run(capsys, "apply", "d", "--algebra", "classical-dga",
+                       "q*a0*a1")
+    assert (code, out.strip()) == (0, "da1*a0 + da0*a1")
+    code, out, _ = run(capsys, "apply", "star", "--algebra", "classical-hq",
+                       "q*a2")
+    assert (code, out.strip()) == (0, "a2")
+    code, out, _ = run(capsys, "nf", "--algebra", "classical-hq", "--at-q", "1",
+                       "q*a0")
+    assert (code, out.strip()) == (0, "a0")
+
+
+def test_at_q_is_refused_on_a_classical_universe_unless_it_is_1(capsys):
+    code, out, err = run(capsys, "nf", "--algebra", "classical-dga", "--at-q",
+                         "2", "q*a0*da1")
+    assert (code, out) == (2, "")
+    assert err == "error: classical-dga is already specialized at q = 1\n"
+
+
 def test_apply_d_rejects_universes_without_differentials(capsys):
     code, _, err = run(capsys, "apply", "d", "--algebra", "cm", "w0")
     assert code == 2

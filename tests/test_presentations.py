@@ -1,3 +1,4 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,16 @@ def test_specialization_names_and_values():
     cl = get_presentation("classical-hq")
     assert cl.normal_form(NCPoly.word(("a0", "a1"), universe=cl.name)) == \
         NCPoly.word(("a1", "a0"), universe=cl.name)
+
+
+def test_a_presentation_records_the_q_it_is_specialized_at():
+    hq = get_presentation("hq")
+    assert hq.q is None
+    assert get_presentation("classical-hq").q == 1
+    assert specialize(hq, Fraction(2, 3)).q == Fraction(2, 3)
+    specialize(get_presentation("classical-hq"), 1)
+    with pytest.raises(PresentationError, match="already specialized at q = 2"):
+        specialize(specialize(hq, 2), 3)
 
 
 def test_eval_at_specializes_coefficients():

@@ -85,6 +85,7 @@ def test_specialization_commutes_with_normal_form_sampled():
         left = specialized(name, q0).normal_form(pres.normal_form(p).eval_at(q0))
         right = specialized(name, q0).normal_form(p.eval_at(q0))
         assert left == right
+        assert specialized(name, q0).normal_form(p) == right
 
 
 def test_evaluation_is_a_ring_homomorphism_sampled():

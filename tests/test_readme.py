@@ -1,9 +1,10 @@
-"""The README's "Command line" examples, run through cli.main.
+"""The README's "Command line" examples, run through cli.main, and its
+"Library" block.
 
-Each `$ qcalc ...` line of that section is a command; the lines after it,
-up to a blank line, are what it prints.  A `...` line stands for output
-that is not shown (the `verify all` table): the lines before it must
-start the output and the lines after it must end it.
+Each `$ qcalc ...` line of the first section is a command; the lines
+after it, up to a blank line, are what it prints.  A `...` line stands
+for output that is not shown (the `verify all` table): the lines before
+it must start the output and the lines after it must end it.
 """
 
 import shlex
@@ -52,3 +53,13 @@ def test_readme_example_prints_what_the_readme_shows(argv, expected, tmp_path,
         assert out[len(out) - len(tail):] == tail
     else:
         assert out == expected
+
+
+def test_readme_library_block_prints_what_the_command_line_prints(capsys):
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library", 1)[1].split("```python", 1)[1]
+    exec(block.split("```", 1)[0], {})
+    printed = capsys.readouterr().out.splitlines()
+    assert main(["nf", "a0*a1*a2"]) == 0
+    assert main(["apply", "coproduct", "a3"]) == 0
+    assert printed == capsys.readouterr().out.splitlines()
