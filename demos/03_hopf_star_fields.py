@@ -77,11 +77,10 @@ def main():
     print()
 
     print("== invariant vector fields ==")
-    classical = verify_lie_algebra(3, "classical", convention="bracket")
+    classical = verify_lie_algebra(3, "classical")["bracket"]
     print(f"  classical brackets with any failures:"
           f" {[r['relation'] for r in classical if r['failures']]}")
-    for conv in ("bracket", "printed"):
-        rows = verify_lie_algebra(2, "quantum", convention=conv)
+    for conv, rows in verify_lie_algebra(2, "quantum").items():
         failed = {r["relation"]: len(r["failures"]) for r in rows if r["failures"]}
         print(f"  quantum, {conv} convention: failures per relation = {failed}")
     print("  (the three commutation rows hold; the three composite rows do not,")

@@ -31,8 +31,7 @@ from .presentations import (
 )
 from .calculus import (
     OMEGA_BAR_CANDIDATES,
-    VECTOR_FIELD_CONVENTIONS,
-    VectorField,
+    apply_field,
     cartan_maurer_d,
     conversion_closure_residuals,
     da_from_w,
@@ -84,11 +83,10 @@ __all__ = [
     "UniverseMismatchError",
     "UnknownGeneratorError",
     "UnknownSymbolError",
-    "VECTOR_FIELD_CONVENTIONS",
-    "VectorField",
     "VerificationReport",
     "antipode",
     "antipode_square",
+    "apply_field",
     "cartan_maurer_d",
     "classical",
     "conversion_closure_residuals",

@@ -34,11 +34,10 @@ from .presentations import (
     rat,
     specialize,
 )
-from .report import _Record
 from .scalar import add_term
 
 __all__ = [
-    "VectorField",
+    "apply_field",
     "cartan_maurer_d",
     "conversion_closure_residuals",
     "coordinate_frame_coefficients",
@@ -58,7 +57,6 @@ __all__ = [
     "verify_lie_algebra",
     "verify_omega_bar_identity",
     "OMEGA_BAR_CANDIDATES",
-    "VECTOR_FIELD_CONVENTIONS",
 ]
 
 # -- graded exterior differential ---------------------------------------
@@ -73,9 +71,9 @@ def differential(p: NCPoly, pres: Presentation) -> NCPoly:
     return pres.normal_form(leibniz_expansion(p, pres))
 
 
-def nilpotency_residuals(pres: Presentation = None):
-    """d(d(a_k a_l)) for all 16 coordinate pairs; zero when consistent."""
-    pres = pres or get_presentation("dga")
+def nilpotency_residuals():
+    """d(d(a_k a_l)) in dga for all 16 coordinate pairs; zero when consistent."""
+    pres = get_presentation("dga")
     out = []
     for x in A:
         for y in A:
@@ -369,25 +367,16 @@ def recover_differentials_on_unit_sphere() -> list:
 
 # -- vector fields --------------------------------------------------------
 
-VECTOR_FIELD_CONVENTIONS = ("bracket", "printed")
+def apply_field(table: dict, p: NCPoly) -> NCPoly:
+    """A tabulated vector field ({word: image}) applied to p.
 
-
-class VectorField(_Record):
-    """Tabulated action of one frame vector field on low-degree monomials."""
-
-    def __init__(self, label: str, action: dict = None):
-        self.label = label
-        self.action = {} if action is None else action
-
-    def __call__(self, p: NCPoly) -> NCPoly:
-        out = {}
-        for w, c in p.terms.items():
-            img = self.action.get(w)
-            if img is None:
-                raise KeyError(f"{self.label} is not tabulated on {w}")
-            for v, d in img.terms.items():
-                add_term(out, v, c * d)
-        return NCPoly._of(out)
+    Raises KeyError on a word of p the table does not hold.
+    """
+    out = {}
+    for w, c in p.terms.items():
+        for v, d in table[w].terms.items():
+            add_term(out, v, c * d)
+    return NCPoly._of(out)
 
 
 def coordinate_frame_coefficients(f: NCPoly, classical: bool = False) -> dict:
@@ -453,26 +442,19 @@ def _frame_parts(cap: int, classical: bool = False) -> dict:
     return table
 
 
-def extract_vector_fields(cap: int, convention: str = "bracket",
-                          classical: bool = False):
+def extract_vector_fields(cap: int, classical: bool = False):
     """Tabulate the four frame vector fields on all monomials up to cap.
 
-    bracket: plain readoff with alternating signs, under which the
-    classical bracket table holds.  printed: the same divided by two,
-    matching the displayed classical normalization.
+    Returns one {word: image} table per field n0..n3: the frame parts
+    read off with alternating signs, under which the classical bracket
+    table holds.  The printed normalization is the same fields divided
+    by two; verify_lie_algebra applies it as a weight on its rows.
     """
-    if convention not in VECTOR_FIELD_CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    scale = {"w0": ONE, "w1": -ONE, "w2": ONE, "w3": -ONE}
-    if convention == "printed":
-        scale = {k: rat(1, 2) * s for k, s in scale.items()}
-    fields = {k: VectorField(label=f"nabla{j}") for j, k in enumerate(W)}
-    for word, parts in _frame_parts(cap, classical).items():
-        for k in W:
-            fields[k].action[word] = scale[k] * parts[k]
-    return tuple(fields[k] for k in W)
+    parts = _frame_parts(cap, classical)
+    return tuple({word: s * p[k] for word, p in parts.items()}
+                 for k, s in zip(W, (ONE, -ONE, ONE, -ONE)))
 
 
 def _lie_rows(classical: bool) -> dict:
@@ -480,16 +462,18 @@ def _lie_rows(classical: bool) -> dict:
 
     A row maps operator keys to coefficients, over twenty operators:
     (k,) is n_k and (i, j) is n_i∘n_j, that is n_i(n_j(w)).  A relation
-    holds on a monomial when its combination vanishes there.
+    holds on a monomial when its combination vanishes there.  Classical
+    rows are keyed by the suffix of their check id, [n1,n2] + 2n3 by
+    n1.n2.
     """
     if classical:
         return {
-            "[n1,n2]+2n3": {(1, 2): 1, (2, 1): -1, (3,): 2},
-            "[n2,n3]+2n1": {(2, 3): 1, (3, 2): -1, (1,): 2},
-            "[n3,n1]+2n2": {(3, 1): 1, (1, 3): -1, (2,): 2},
-            "[n1,n0]": {(1, 0): 1, (0, 1): -1},
-            "[n2,n0]": {(2, 0): 1, (0, 2): -1},
-            "[n3,n0]": {(3, 0): 1, (0, 3): -1},
+            "n1.n2": {(1, 2): 1, (2, 1): -1, (3,): 2},
+            "n2.n3": {(2, 3): 1, (3, 2): -1, (1,): 2},
+            "n3.n1": {(3, 1): 1, (1, 3): -1, (2,): 2},
+            "n1.n0": {(1, 0): 1, (0, 1): -1},
+            "n2.n0": {(2, 0): 1, (0, 2): -1},
+            "n3.n0": {(3, 0): 1, (0, 3): -1},
         }
     c22 = (qp(2) + qp(-2)) * rat(1, 2)
     d22 = (qp(2) - qp(-2)) * rat(1, 2)
@@ -509,15 +493,22 @@ def _lie_rows(classical: bool) -> dict:
     }
 
 
-def verify_lie_algebra(cap: int, mode: str, convention: str = "bracket"):
+# weights of an (n_k, n_i∘n_j) row entry per sign convention: the
+# printed fields are the bracket ones halved
+_ROW_WEIGHTS = {"bracket": (ONE, ONE), "printed": (rat(1, 2), rat(1, 4))}
+
+
+def verify_lie_algebra(cap: int, mode: str):
     """Evaluate the displayed generator relations on all monomials up to cap.
 
     classical mode checks the six bracket identities at q=1; quantum
-    mode evaluates the deformed relations (_lie_rows).  Returns a list
-    of records with any violating monomials; empty failure lists mean
-    the relation holds on the sampled module.  On each monomial every
-    operator the rows name is evaluated once, and each row is summed
-    from those images and reduced in hq.
+    mode evaluates the deformed relations (_lie_rows).  Returns
+    {convention: records}, one record per relation with any violating
+    monomials; empty failure lists mean the relation holds on the
+    sampled module.  The fields are tabulated once per call.  On each
+    monomial every operator the rows name is evaluated once, and each
+    row is summed from those images, weighted by its convention
+    (_ROW_WEIGHTS), and reduced in hq.
 
     The fields are tabulated only up to cap because every frame part
     keeps the length of its word.  In f_m(a*u) = g_m(a)*u +
@@ -526,7 +517,7 @@ def verify_lie_algebra(cap: int, mode: str, convention: str = "bracket"):
     degree-homogeneous, so by induction on length each n_i maps degree-d
     words to degree-d normal words.  Every composition n_i(n_j(p)) in
     the rows therefore stays inside the table; were it ever to leave it,
-    VectorField raises KeyError rather than answer differently.
+    apply_field raises KeyError rather than answer differently.
     """
     if cap < 0:
         raise ValueError(f"verify_lie_algebra cap must be at least 0, got {cap}")
@@ -534,20 +525,20 @@ def verify_lie_algebra(cap: int, mode: str, convention: str = "bracket"):
     if mode not in ("classical", "quantum"):
         raise ValueError(f"unknown mode {mode!r}")
     hq = get_presentation(("classical-" if classical else "") + "hq")
-    fields = extract_vector_fields(
-        max(cap, 1), convention=convention, classical=classical)
+    fields = extract_vector_fields(max(cap, 1), classical=classical)
     rows = _lie_rows(classical)
     keys = {key for row in rows.values() for key in row}
     inner = sorted({key[-1] for key in keys})
     pairs = sorted(key for key in keys if len(key) == 2)
-    records = [{"relation": label, "convention": convention, "failures": []}
-               for label in rows]
+    checks = [({"relation": label, "convention": convention, "failures": []},
+               {key: weight[len(key) - 1] * c for key, c in row.items()})
+              for convention, weight in _ROW_WEIGHTS.items()
+              for label, row in rows.items()]
     for w in [()] + list(_monomial_basis(cap)):
-        p = NCPoly.word(w)
-        images = {(j,): fields[j](p) for j in inner}
+        images = {(j,): fields[j][w] for j in inner}
         for i, j in pairs:
-            images[(i, j)] = fields[i](images[(j,)])
-        for record, row in zip(records, rows.values()):
+            images[(i, j)] = apply_field(fields[i], images[(j,)])
+        for record, row in checks:
             acc = {}
             for key, c in row.items():
                 for v, d in images[key].terms.items():
@@ -555,4 +546,6 @@ def verify_lie_algebra(cap: int, mode: str, convention: str = "bracket"):
             residual = hq.normal_form(NCPoly._of(acc))
             if residual:
                 record["failures"].append((w, residual))
-    return records
+    return {convention: [record for record, _ in checks
+                         if record["convention"] == convention]
+            for convention in _ROW_WEIGHTS}

@@ -68,16 +68,16 @@ def _rules(entries):
 
 # -- coordinate algebra ------------------------------------------------
 
-def _a_sector_rules(a=A):
+def _a_sector_rules():
     """Quadratic relations among the four coordinate generators."""
-    a0, a1, a2, a3 = (L(g) for g in a)
+    a0, a1, a2, a3 = (L(g) for g in A)
     return [
-        ((a[0], a[1]), a1 * a0 - I * S * (a2 * a2 + a3 * a3)),
-        ((a[0], a[2]), C * (a2 * a0) + I * S * (a2 * a1)),
-        ((a[0], a[3]), C * (a3 * a0) + I * S * (a3 * a1)),
-        ((a[1], a[2]), C * (a2 * a1) - I * S * (a2 * a0)),
-        ((a[1], a[3]), C * (a3 * a1) - I * S * (a3 * a0)),
-        ((a[2], a[3]), a3 * a2),
+        (("a0", "a1"), a1 * a0 - I * S * (a2 * a2 + a3 * a3)),
+        (("a0", "a2"), C * (a2 * a0) + I * S * (a2 * a1)),
+        (("a0", "a3"), C * (a3 * a0) + I * S * (a3 * a1)),
+        (("a1", "a2"), C * (a2 * a1) - I * S * (a2 * a0)),
+        (("a1", "a3"), C * (a3 * a1) - I * S * (a3 * a0)),
+        (("a2", "a3"), a3 * a2),
     ]
 
 

@@ -127,7 +127,8 @@ class VerificationReport(_Record):
 
     # -- display ----------------------------------------------------------
 
-    def render_table(self, width: int = 100) -> str:
+    def render_table(self) -> str:
+        width = 100
         id_w = max([len(c.id) for c in self.checks] + [len("check")])
         lines = [
             f"suite: {self.suite}   engine: {self.engine_version}   "

@@ -17,7 +17,6 @@ from time import perf_counter
 from .algebra import NCPoly, render_poly
 from .calculus import (
     OMEGA_BAR_CANDIDATES,
-    VECTOR_FIELD_CONVENTIONS,
     cartan_maurer_d,
     conversion_closure_residuals,
     da_from_w,
@@ -222,18 +221,15 @@ def _violations(failures, pres, where=""):
             f"{'*'.join(word) or '1'}: {_rendered(residual, pres)}")
 
 
-_CLASSICAL_BRACKETS = ("n1.n2", "n2.n3", "n3.n1", "n1.n0", "n2.n0", "n3.n0")
-
-
 def _classical_suite(cap):
     cl = get_presentation("classical-hq")
-    records = verify_lie_algebra(cap, "classical", convention="bracket")
-    for label, rec in zip(_CLASSICAL_BRACKETS, records):
-        yield _check(f"classical.bracket.{label}", "published classical bracket table",
+    records = verify_lie_algebra(cap, "classical")
+    for rec in records["bracket"]:
+        yield _check(f"classical.bracket.{rec['relation']}",
+                     "published classical bracket table",
                      _violations(rec["failures"], cl))
 
-    counts = [len(r["failures"]) for r in
-              verify_lie_algebra(cap, "classical", convention="printed")]
+    counts = [len(r["failures"]) for r in records["printed"]]
     problem = ("halved-readoff normalization violates the cyclic rows on "
                f"{counts[:3]} monomials (commuting rows {counts[3:]}); the "
                "plain readoff satisfies all six")
@@ -277,9 +273,8 @@ def _grassmann_suite(cap):
 
 def _vector_field_suite(cap):
     hq = get_presentation("hq")
-    for convention in VECTOR_FIELD_CONVENTIONS:
-        for rec in verify_lie_algebra(QUANTUM_FIELD_CAP, "quantum",
-                                      convention=convention):
+    for convention, records in verify_lie_algebra(QUANTUM_FIELD_CAP, "quantum").items():
+        for rec in records:
             yield _check(f"quantum.{convention}.{rec['relation']}",
                          "published deformed generator relations",
                          _violations(rec["failures"], hq,

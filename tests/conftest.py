@@ -8,19 +8,17 @@ tests and the acceptance criteria.
 import pytest
 
 from qcalc import verify_hopf_axioms, verify_lie_algebra
-from qcalc.calculus import VECTOR_FIELD_CONVENTIONS
 from qcalc.verify import QUANTUM_FIELD_CAP
 
 
 @pytest.fixture(scope="session")
 def classical_lie_records():
-    return verify_lie_algebra(3, "classical", convention="bracket")
+    return verify_lie_algebra(3, "classical")["bracket"]
 
 
 @pytest.fixture(scope="session")
 def quantum_lie_records():
-    return {conv: verify_lie_algebra(QUANTUM_FIELD_CAP, "quantum", convention=conv)
-            for conv in VECTOR_FIELD_CONVENTIONS}
+    return verify_lie_algebra(QUANTUM_FIELD_CAP, "quantum")
 
 
 @pytest.fixture(scope="session")

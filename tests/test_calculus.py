@@ -8,6 +8,7 @@ from qcalc.calculus import (
     _star_images,
     _frame_parts,
     _monomial_basis,
+    apply_field,
     cartan_maurer_d,
     conversion_closure_residuals,
     coordinate_frame_coefficients,
@@ -158,8 +159,7 @@ def test_incremental_frame_table_matches_the_per_word_conversion(cap, classical)
 
 
 def _lie_rows(records):
-    return [(row["relation"], row["convention"],
-             [(w, val.terms) for w, val in row["failures"]])
+    return [(row["relation"], [(w, val.terms) for w, val in row["failures"]])
             for row in records]
 
 
@@ -167,11 +167,11 @@ def _lie_rows(records):
 @pytest.mark.parametrize("convention", ["bracket", "printed"])
 def test_lie_rows_match_a_table_two_degrees_deeper(monkeypatch, cap, mode,
                                                    convention):
-    rows = _lie_rows(verify_lie_algebra(cap, mode, convention))
+    rows = _lie_rows(verify_lie_algebra(cap, mode)[convention])
     deeper = qcalc.calculus.extract_vector_fields
     monkeypatch.setattr(qcalc.calculus, "extract_vector_fields",
                         lambda c, **kw: deeper(c + 2, **kw))
-    assert rows == _lie_rows(verify_lie_algebra(cap, mode, convention))
+    assert rows == _lie_rows(verify_lie_algebra(cap, mode)[convention])
 
 
 @pytest.mark.parametrize("cap", [-1, -2])
@@ -184,28 +184,53 @@ def test_lie_algebra_rejects_a_negative_cap(cap, mode):
 @pytest.mark.parametrize("mode", ["quantum", "classical"])
 def test_lie_algebra_at_cap_zero_checks_the_constant_monomial(monkeypatch, mode):
     seen = []
-    apply = qcalc.calculus.VectorField.__call__
+    apply = qcalc.calculus.apply_field
 
-    def spy(field, p):
+    def spy(table, p):
         seen.append(p)
-        return apply(field, p)
+        return apply(table, p)
 
-    monkeypatch.setattr(qcalc.calculus.VectorField, "__call__", spy)
-    records = verify_lie_algebra(0, mode)
-    assert len(records) == 6
-    assert all(row["failures"] == [] for row in records)
-    # the fields meet the constant monomial and its (zero) images only
-    assert [()] in [list(p.terms) for p in seen]
-    assert all(set(p.terms) <= {()} for p in seen)
+    monkeypatch.setattr(qcalc.calculus, "apply_field", spy)
+    by_convention = verify_lie_algebra(0, mode)
+    assert list(by_convention) == ["bracket", "printed"]
+    for convention, records in by_convention.items():
+        assert len(records) == 6
+        assert all(row["convention"] == convention for row in records)
+        assert all(row["failures"] == [] for row in records)
+    # one monomial, the constant: each composition n_i∘n_j is applied
+    # once, to n_j(1), which is zero
+    rows = qcalc.calculus._lie_rows(mode == "classical")
+    pairs = {key for row in rows.values() for key in row if len(key) == 2}
+    assert len(seen) == len(pairs)
+    assert not any(seen)
 
 
-def test_printed_vector_fields_are_half_the_bracket_ones():
+@pytest.mark.parametrize("cap,mode", [(2, "quantum"), (3, "classical")])
+def test_printed_rows_are_the_bracket_rows_of_halved_fields(monkeypatch, cap, mode):
+    printed = verify_lie_algebra(cap, mode)["printed"]
+    tabulate = qcalc.calculus.extract_vector_fields
     half = rat(1, 2)
-    for bracket, printed in zip(extract_vector_fields(2, "bracket"),
-                                extract_vector_fields(2, "printed")):
-        assert printed.action.keys() == bracket.action.keys()
-        for word, img in bracket.action.items():
-            assert printed.action[word].terms == (half * img).terms, word
+
+    def halved(c, **kw):
+        return tuple({w: half * img for w, img in table.items()}
+                     for table in tabulate(c, **kw))
+
+    monkeypatch.setattr(qcalc.calculus, "extract_vector_fields", halved)
+    assert _lie_rows(verify_lie_algebra(cap, mode)["bracket"]) == _lie_rows(printed)
+
+
+@pytest.mark.parametrize("suite", ["classical", "vector-fields"])
+def test_a_suite_tabulates_the_vector_fields_once(monkeypatch, suite):
+    calls = []
+    tabulate = qcalc.calculus.extract_vector_fields
+
+    def spy(cap, **kw):
+        calls.append(cap)
+        return tabulate(cap, **kw)
+
+    monkeypatch.setattr(qcalc.calculus, "extract_vector_fields", spy)
+    run_suite(suite)
+    assert len(calls) == 1
 
 
 def test_two_form_table_and_its_printed_variant():
@@ -284,10 +309,11 @@ def test_vector_fields_tabulate_and_compose():
     n0, n1, n2, n3 = extract_vector_fields(2)
     hq = get_presentation("hq")
     a1 = NCPoly.letter("a1", hq.name)
-    assert n1.label == "nabla1"
-    assert n1(a1)
+    assert list(n1) == [()] + list(_monomial_basis(2))
+    assert apply_field(n1, a1) == n1[("a1",)]
+    assert apply_field(n2, apply_field(n1, a1))
     with pytest.raises(KeyError):
-        n1(NCPoly.word(("a0",) * 9, universe=hq.name))
+        apply_field(n1, NCPoly.word(("a0",) * 9, universe=hq.name))
 
 
 def test_quantum_relations_hold_on_commutation_rows(quantum_lie_records):
