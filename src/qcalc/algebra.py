@@ -154,8 +154,16 @@ class NCPoly:
         return self.map_coeffs(lambda c: c.conj())
 
     def eval_at(self, q0) -> "NCPoly":
-        """Specialize all coefficients at a nonzero rational q value."""
+        """Specialize all coefficients at a nonzero rational q value.
+
+        A q-free polynomial is its own value: it is handed back as it is.
+        """
         p, r = q_ratio(q0)
+        for c in self.terms.values():
+            if not c._is_constant():
+                break
+        else:
+            return self
         terms = {}
         for w, c in self.terms.items():
             v = c.value_at(p, r)
@@ -325,7 +333,8 @@ class Presentation:
         if hit is not None:
             return hit
         acc, rewrites = {}, {}
-        pending = {word: LaurentScalar.one()}
+        seed = LaurentScalar.one()
+        pending = {word: seed}
         while pending:
             w = next(iter(pending))
             c = pending.pop(w)
@@ -350,7 +359,8 @@ class Presentation:
                     f"{_render_word(word)} rewrites {_render_word(w)} {k} times")
             pair = (w[i], w[i + 1])
             for rw, rc in self.rules[pair].terms.items():
-                add_term(pending, w[:i] + rw + w[i + 2:], c * rc)
+                add_term(pending, w[:i] + rw + w[i + 2:],
+                         rc if c is seed else c * rc)
         keep = self._nf_values.setdefault
         return cache.setdefault(keep(word, word),
                                 {keep(w, w): keep(c, c) for w, c in acc.items()})

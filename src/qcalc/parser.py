@@ -7,15 +7,22 @@ differential letter dx, `N` expands to the norm, `Ninv` names the
 inverse-norm generator.  Every symbol is validated against the chosen
 universe's generator list.
 
+The grammar works on term maps {word: nonzero LaurentScalar}, over the
+sparse-map core shared with the scalars and polynomials: sums accumulate
+with scalar.add_term, products are scalar.convolve with word join, and
+one NCPoly wraps the finished map.  So a product of two one-term maps is
+one tuple join and one scalar product, and no NCPoly is built per atom.
+
 parse_scalar reads a coefficient of Q(i)[q, q^-1], such as the `coeff`
 strings of a presentation file, with the same grammar over a universe
 with no generators, so only q and i are names.
 """
 
+import operator
 import re
 
 from .algebra import NCPoly, Presentation
-from .scalar import LaurentScalar, ScalarParseError
+from .scalar import LaurentScalar, ScalarParseError, add_term, convolve
 from .presentations import norm_poly
 
 __all__ = ["ParseError", "UnknownSymbolError", "parse", "parse_scalar"]
@@ -43,6 +50,10 @@ _TOKEN = re.compile(
     r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()])|(\S))")
 _KINDS = (None, "int", "name", "op")  # by the group that matched
 
+# The coefficient of a letter; a LaurentScalar is immutable, so one
+# object serves every term map.
+_ONE = LaurentScalar.one()
+
 
 def _int_literal(value, pos):
     """The int of a digit token, within Python's int/str digit limit."""
@@ -68,96 +79,94 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text, pres: Presentation):
-        self.text = text
         self.pres = pres
-        self.tokens = _tokenize(text)
-        self.idx = 0
-        self._letters = {g.id for g in pres.generators}
-
-    def peek(self):
-        return self.tokens[self.idx]
+        # tok is the next token; the end token is never advanced past
+        self._rest = iter(_tokenize(text)).__next__
+        self.tok = self._rest()
 
     def advance(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
+        tok = self.tok
+        self.tok = self._rest()
         return tok
 
     def expect(self, text):
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tok
         if value != text:
             raise ParseError(f"expected {text!r}, found {value or 'end of input'!r}", pos)
         return self.advance()
 
     # -- grammar ------------------------------------------------------
+    # Every rule returns a term map {word: nonzero LaurentScalar} that no
+    # other map shares, so sum() may add into its left operand in place.
 
     def parse(self) -> NCPoly:
         out = self.sum()
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tok
         if kind != "end":
             raise ParseError(f"unexpected {value!r}", pos)
-        return out
+        return NCPoly._of(out, self.pres.name)
 
-    def sum(self) -> NCPoly:
+    def sum(self) -> dict:
         out = self.product()
-        while self.peek()[1] in ("+", "-"):
-            op = self.advance()[1]
-            rhs = self.product()
-            out = out + rhs if op == "+" else out - rhs
+        while self.tok[1] in ("+", "-"):
+            minus = self.advance()[1] == "-"
+            for w, c in self.product().items():
+                add_term(out, w, -c if minus else c)
         return out
 
-    def product(self) -> NCPoly:
+    def product(self) -> dict:
         out = self.signed()
-        while self.peek()[1] in ("*", "/"):
+        while self.tok[1] in ("*", "/"):
             _, op, pos = self.advance()
             rhs = self.signed()
             if op == "*":
-                out = out * rhs
+                out = convolve(out, rhs, operator.add)
             else:
                 out = self._divide(out, rhs, pos)
         return out
 
-    def signed(self) -> NCPoly:
+    def signed(self) -> dict:
         sign = 1
-        while self.peek()[1] in ("+", "-"):
+        while self.tok[1] in ("+", "-"):
             if self.advance()[1] == "-":
                 sign = -sign
         out = self.power()
-        return out if sign > 0 else -out
+        return out if sign > 0 else {w: -c for w, c in out.items()}
 
-    def power(self) -> NCPoly:
+    def power(self) -> dict:
         out = self.atom()
-        if self.peek()[1] != "^":
+        if self.tok[1] != "^":
             return out
         self.advance()
         exp, pos = self._signed_int()
         base_n = self._q_exponent(out)
         if base_n is not None:
-            return NCPoly.scalar(LaurentScalar.q_power(base_n * exp), self.pres.name)
+            return {(): LaurentScalar.q_power(base_n * exp)}
         if exp < 0:
             raise ParseError("negative exponents are only allowed on q", pos)
-        result = NCPoly.unit(self.pres.name)
+        result = {(): _ONE}
         while exp:  # square and multiply
             if exp & 1:
-                result = result * out
+                result = convolve(result, out, operator.add)
             exp >>= 1
             if exp:
-                out = out * out
+                out = convolve(out, out, operator.add)
         return result
 
     def _signed_int(self):
         sign = 1
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tok
         if value in ("+", "-"):
             self.advance()
             sign = -1 if value == "-" else 1
-            kind, value, pos = self.peek()
+            kind, value, pos = self.tok
         if kind != "int":
             raise ParseError("expected an integer exponent", pos)
         self.advance()
         return sign * _int_literal(value, pos), pos
 
-    def atom(self) -> NCPoly:
-        kind, value, pos = self.peek()
+    def atom(self) -> dict:
+        kind, value, pos = self.tok
         if value == "(":
             self.advance()
             inner = self.sum()
@@ -165,20 +174,21 @@ class _Parser:
             return inner
         if kind == "int":
             self.advance()
-            return NCPoly.scalar(_int_literal(value, pos), self.pres.name)
+            n = _int_literal(value, pos)
+            return {(): LaurentScalar.coerce(n)} if n else {}
         if kind == "name":
             self.advance()
             return self._name(value, pos)
         raise ParseError(f"expected a term, found {value or 'end of input'!r}", pos)
 
-    def _name(self, value, pos) -> NCPoly:
+    def _name(self, value, pos) -> dict:
         if value == "i":
-            return NCPoly.scalar(LaurentScalar.i_unit(), self.pres.name)
+            return {(): LaurentScalar.i_unit()}
         if value == "q":
-            return NCPoly.scalar(LaurentScalar.q_power(1), self.pres.name)
-        if value == "d" and self.peek()[1] == "(":
+            return {(): LaurentScalar.q_power(1)}
+        if value == "d" and self.tok[1] == "(":
             self.advance()
-            kind, inner, inner_pos = self.peek()
+            kind, inner, inner_pos = self.tok
             if kind != "name":
                 raise ParseError("expected a generator inside d(...)", inner_pos)
             self.advance()
@@ -186,49 +196,49 @@ class _Parser:
             return self._letter("d" + inner, inner_pos)
         if value == "N":
             missing = [gid for gid in ("a0", "a1", "a2", "a3")
-                       if gid not in self._letters]
+                       if gid not in self.pres._by_id]
             if missing:
                 raise UnknownSymbolError(
                     f"N needs the coordinate generators, absent from "
                     f"universe {self.pres.name!r}", pos)
-            return NCPoly(dict(norm_poly().terms), self.pres.name)
+            return dict(norm_poly().terms)
         if value == "Ninv":
             return self._letter("n_inv", pos)
         return self._letter(value, pos)
 
-    def _letter(self, gid, pos) -> NCPoly:
-        if gid not in self._letters:
+    def _letter(self, gid, pos) -> dict:
+        if gid not in self.pres._by_id:
             raise UnknownSymbolError(
                 f"{gid!r} is not a generator of universe {self.pres.name!r}",
                 pos)
-        return NCPoly.letter(gid, self.pres.name)
+        return {(gid,): _ONE}
 
     # -- helpers --------------------------------------------------------
 
     @staticmethod
-    def _q_exponent(p: NCPoly):
-        """n if p is the scalar q^n, else None."""
-        if list(p.terms) != [()]:
+    def _q_exponent(terms: dict):
+        """n if terms is the scalar q^n, else None."""
+        if list(terms) != [()]:
             return None
-        c = p.terms[()]
+        c = terms[()]
         if c._den == 1 and not c._im and list(c._re.values()) == [1]:
             return next(iter(c._re))
         return None
 
     @staticmethod
-    def _divide(lhs: NCPoly, rhs: NCPoly, pos) -> NCPoly:
-        if rhs.terms.keys() - {()}:
+    def _divide(lhs: dict, rhs: dict, pos) -> dict:
+        if rhs.keys() - {()}:
             raise ParseError("division is only defined by scalars", pos)
-        divisor = rhs.terms.get(())
+        divisor = rhs.get(())
         if not divisor:
             raise ParseError("division by zero", pos)
         quotients = {}
-        for w, c in lhs.terms.items():
+        for w, c in lhs.items():
             quot = c.divide_exact(divisor)
             if quot is None:
                 raise ParseError("division is not exact in the coefficient ring", pos)
             quotients[w] = quot
-        return NCPoly(quotients, lhs.universe)
+        return quotients
 
 
 def parse(text: str, pres: Presentation) -> NCPoly:

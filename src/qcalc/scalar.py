@@ -22,19 +22,28 @@ words to LaurentScalars and a TensorPoly maps tuples of words to
 LaurentScalars, and all three accumulate and multiply through these two
 functions.
 
-A product picks one of four paths by the shape of its factors: a factor
-equal to 1 hands back the other factor itself; a one-term factor r*q^n
-or i*r*q^n shifts and scales the other (_times_monomial); two factors
-that are each purely real or purely imaginary need one convolve; only a
-factor with both parts takes the general four-convolve product.  Handing
-back a factor is safe because a LaurentScalar is immutable: nothing
-writes to _re or _im after _canonical or __init__ builds them, and every
-operation that reuses a map copies it first.
+A product picks one of five paths by the shape of its factors: a factor
+equal to 1 hands back the other factor itself; two constants, the only
+coefficients at a specialized q, multiply as Gaussian rationals in one
+step (_constant_product), as two constants add in one; a one-term factor
+r*q^n or i*r*q^n shifts and scales the other (_times_monomial); two
+factors that are each purely real or purely imaginary need one
+convolve; only a factor with both parts takes the general four-convolve
+product.  One factor is tested for being constant only once the other
+is known to be a one-term constant, or just before the general product,
+so the other paths pay nothing for the constant path.
+
+Handing back a factor is safe because a LaurentScalar is immutable:
+nothing writes to _re or _im after _canonical or __init__ builds them,
+and every operation that reuses a map copies it first.  For the same
+reason value_at hands back a constant itself: it is its own value at
+every q.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -58,11 +67,25 @@ def add_term(acc: dict, key, c) -> None:
 
 
 def convolve(left: dict, right: dict, join) -> dict:
-    """Product of two sparse maps: keys combine by join, values multiply."""
+    """Product of two sparse maps: keys combine by join, values multiply.
+
+    Accumulates as add_term does, inline: no zero is stored and a key
+    whose sum cancels is deleted.
+    """
     out = {}
     for k1, v1 in left.items():
         for k2, v2 in right.items():
-            add_term(out, join(k1, k2), v1 * v2)
+            k = join(k1, k2)
+            if k in out:
+                v = out[k] + v1 * v2
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+            else:
+                v = v1 * v2
+                if v:
+                    out[k] = v
     return out
 
 
@@ -79,6 +102,12 @@ def q_ratio(q0) -> tuple[int, int]:
 
 # The numerator map of the constant 1 (with den 1 and no imaginary part).
 _UNIT = {0: 1}
+
+# The exponents of a constant's numerator maps are among these.
+_AT_0 = frozenset((0,))
+
+# Python's numeric hash works modulo this prime (see __hash__).
+_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
 def _canonical(re: dict, im: dict, den: int) -> "LaurentScalar":
@@ -103,7 +132,18 @@ def _canonical(re: dict, im: dict, den: int) -> "LaurentScalar":
 
 def _constant(a: int, b: int, den: int) -> "LaurentScalar":
     """The constant (a + b*i)/den, for ints a, b and den > 0."""
-    return _canonical({0: a} if a else {}, {0: b} if b else {}, den)
+    g = gcd(den, a, b)  # den itself when a = b = 0: zero gets den 1
+    if g != 1:
+        a, b, den = a // g, b // g, den // g
+    s = object.__new__(LaurentScalar)
+    s._re, s._im, s._den = {0: a} if a else {}, {0: b} if b else {}, den
+    return s
+
+
+def _constant_product(x: "LaurentScalar", y: "LaurentScalar") -> "LaurentScalar":
+    """x*y for constants x and y: one product of Gaussian rationals."""
+    a, b, c, d = x._re.get(0, 0), x._im.get(0, 0), y._re.get(0, 0), y._im.get(0, 0)
+    return _constant(a * c - b * d, a * d + b * c, x._den * y._den)
 
 
 def _absorb(acc: dict, terms: dict, sign: int = 1) -> dict:
@@ -197,16 +237,22 @@ class LaurentScalar:
     # -- ring operations ---------------------------------------------
 
     def __add__(self, other) -> "LaurentScalar":
-        if not isinstance(other, (LaurentScalar, int, Fraction)):
-            return NotImplemented
-        other = LaurentScalar.coerce(other)
+        if other.__class__ is not LaurentScalar:
+            if not isinstance(other, (LaurentScalar, int, Fraction)):
+                return NotImplemented
+            other = LaurentScalar.coerce(other)
+        a, b, c, d = self._re, self._im, other._re, other._im
         d1, d2 = self._den, other._den
+        if (a.keys() <= _AT_0 and b.keys() <= _AT_0
+                and c.keys() <= _AT_0 and d.keys() <= _AT_0):
+            a, b, c, d = a.get(0, 0), b.get(0, 0), c.get(0, 0), d.get(0, 0)
+            if d1 == d2:
+                return _constant(a + c, b + d, d1)
+            return _constant(a * d2 + c * d1, b * d2 + d * d1, d1 * d2)
         if d1 == d2:
-            return _canonical(_absorb(dict(self._re), other._re),
-                              _absorb(dict(self._im), other._im), d1)
-        return _canonical(
-            _absorb(_scaled(self._re, d2), _scaled(other._re, d1)),
-            _absorb(_scaled(self._im, d2), _scaled(other._im, d1)), d1 * d2)
+            return _canonical(_absorb(dict(a), c), _absorb(dict(b), d), d1)
+        return _canonical(_absorb(_scaled(a, d2), _scaled(c, d1)),
+                          _absorb(_scaled(b, d2), _scaled(d, d1)), d1 * d2)
 
     __radd__ = __add__
 
@@ -219,11 +265,12 @@ class LaurentScalar:
         return LaurentScalar.coerce(other) + (-self)
 
     def __mul__(self, other) -> "LaurentScalar":
-        if not isinstance(other, (LaurentScalar, int, Fraction)):
-            return NotImplemented
-        other = LaurentScalar.coerce(other)
+        if other.__class__ is not LaurentScalar:
+            if not isinstance(other, (LaurentScalar, int, Fraction)):
+                return NotImplemented
+            other = LaurentScalar.coerce(other)
         a, b, c, d = self._re, self._im, other._re, other._im
-        # Four paths by the shape of the factors (see the module
+        # Five paths by the shape of the factors (see the module
         # docstring).  Handing back a factor is safe because nothing
         # mutates _re or _im once _canonical has built them.
         if c == _UNIT and other._den == 1 and not d:
@@ -231,8 +278,12 @@ class LaurentScalar:
         if a == _UNIT and self._den == 1 and not b:
             return other
         if len(c) + len(d) == 1:
+            if (0 in c or 0 in d) and a.keys() <= _AT_0 and b.keys() <= _AT_0:
+                return _constant_product(self, other)
             return _times_monomial(self, other)
         if len(a) + len(b) == 1:
+            if (0 in a or 0 in b) and c.keys() <= _AT_0 and d.keys() <= _AT_0:
+                return _constant_product(self, other)
             return _times_monomial(other, self)
         den = self._den * other._den
         if not (a and b or c and d):
@@ -243,6 +294,8 @@ class LaurentScalar:
             if not (a or c):
                 return _canonical(_scaled(prod, -1), {}, den)
             return _canonical({}, prod, den)
+        if self._is_constant() and other._is_constant():
+            return _constant_product(self, other)
         add = operator.add
         # (a + ib)(c + id) = (ac - bd) + i(ad + bc)
         re = _absorb(convolve(a, c, add), convolve(b, d, add), -1)
@@ -285,11 +338,22 @@ class LaurentScalar:
                 and self._im == other._im)
 
     def __hash__(self) -> int:
-        if not self._im and self._re.keys() <= {0}:
+        if not self._im and self._re.keys() <= _AT_0:
             # A real constant hashes like the equal int or Fraction, as
-            # __eq__ requires; an integer one needs no Fraction for that.
-            num = self._re.get(0, 0)
-            return hash(num) if self._den == 1 else hash(Fraction(num, self._den))
+            # __eq__ requires, by Python's numeric hash of num/den: num
+            # times the inverse of den modulo the prime _MODULUS, signed
+            # like num.  num/den is in lowest terms, so den alone can be
+            # a multiple of the modulus, which hashes as infinity.
+            num, den = self._re.get(0, 0), self._den
+            if den == 1:
+                return hash(num)
+            if den % _MODULUS:
+                h = abs(num) % _MODULUS * pow(den, -1, _MODULUS) % _MODULUS
+            else:
+                h = _HASH_INF
+            if num < 0:
+                h = -h
+            return -2 if h == -1 else h
         return hash((frozenset(self._re.items()), frozenset(self._im.items()),
                      self._den))
 
@@ -297,7 +361,7 @@ class LaurentScalar:
         return bool(self._re or self._im)
 
     def _is_constant(self) -> bool:
-        return self._re.keys() <= {0} and self._im.keys() <= {0}
+        return self._re.keys() <= _AT_0 and self._im.keys() <= _AT_0
 
     def _part(self, numerators: dict) -> Fraction:
         if not self._is_constant():
@@ -332,9 +396,12 @@ class LaurentScalar:
     def value_at(self, p: int, r: int) -> "LaurentScalar":
         """The constant this takes at q = p/r, for ints p != 0 and r > 0.
 
-        With lo <= 0 <= hi bounding the exponents, the value is the
+        A constant is its own value, handed back as it is.  Otherwise,
+        with lo <= 0 <= hi bounding the exponents, the value is the
         integer sum of v_n * p^(n-lo) * r^(hi-n) over den * p^-lo * r^hi.
         """
+        if self._is_constant():
+            return self
         exps = {0, *self._re, *self._im}
         lo, hi = min(exps), max(exps)
         a = sum(v * p ** (n - lo) * r ** (hi - n) for n, v in self._re.items())
@@ -342,7 +409,7 @@ class LaurentScalar:
         den = self._den * p ** -lo * r ** hi
         if den < 0:
             a, b, den = -a, -b, -den
-        return _canonical({0: a} if a else {}, {0: b} if b else {}, den)
+        return _constant(a, b, den)
 
     def divide_exact(self, other) -> "LaurentScalar | None":
         """Exact quotient self/other in Q(i)[q, q^-1], or None if not exact."""

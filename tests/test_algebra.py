@@ -13,7 +13,9 @@ from qcalc import (
     UniverseMismatchError,
     UnknownGeneratorError,
     get_presentation,
+    parse,
     render_poly,
+    specialize,
 )
 from qcalc.algebra import Generator
 from qcalc.presentations import build_hq
@@ -86,6 +88,32 @@ def test_map_and_eval_coefficients():
     at2 = p.eval_at(2)
     assert at2 == NCPoly.word(("x",), i * 2) + NCPoly.scalar(4)
     assert p.map_coeffs(lambda c: c * 0) == 0
+
+
+def test_a_specialized_normal_form_evaluates_a_q_free_input_no_more(monkeypatch):
+    base = get_presentation("hq")
+    hq2 = specialize(base, 2)
+    text = "(1/2)*a0*a1 - (3 + i)*a3*a2 + i*a2*a2*a1"
+    p = parse(text, hq2)
+    assert p.terms and all(c._is_constant() for c in p.terms.values())
+    assert p.eval_at(2) is p
+    calls = []
+    value_at = LaurentScalar.value_at
+
+    def spy(self, *args):
+        calls.append(self)
+        return value_at(self, *args)
+
+    monkeypatch.setattr(LaurentScalar, "value_at", spy)
+    nf = hq2.normal_form(p)
+    assert calls == []
+    assert nf == base.normal_form(parse(text, base)).eval_at(2)
+    with pytest.raises(ValueError):
+        p.eval_at(0)
+    # an input with q in it is still evaluated at the presentation's q
+    assert hq2.normal_form(parse("q*a0*a1", hq2)) == \
+        hq2.normal_form(parse("2*a0*a1", hq2))
+    assert calls
 
 
 def assert_canonical_map(p):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ from qcalc import (
     parse,
     render_poly,
 )
+from qcalc import parser
 from qcalc.parser import ParseError, UnknownSymbolError
-from qcalc.presentations import norm_poly
+from qcalc.presentations import _CATALOG_BUILDERS, norm_poly
 
 
 @pytest.fixture
@@ -138,15 +140,67 @@ def test_empty_and_trailing_input(hq):
 
 
 def test_powers_square_and_multiply(hq, monkeypatch):
-    calls = []
+    products, poly_products = [], []
+    convolve = parser.convolve
     mul = NCPoly.__mul__
 
-    def counting(self, other):
-        calls.append(other)
+    def counting(left, right, join):
+        products.append(right)
+        return convolve(left, right, join)
+
+    def poly_counting(self, other):
+        poly_products.append(other)
         return mul(self, other)
 
-    monkeypatch.setattr(NCPoly, "__mul__", counting)
+    monkeypatch.setattr(parser, "convolve", counting)
+    monkeypatch.setattr(NCPoly, "__mul__", poly_counting)
     assert parse("2^1024", hq) == NCPoly.scalar(2 ** 1024, hq.name)
-    assert len(calls) <= 21
+    assert 0 < len(products) <= 21
+    assert poly_products == []  # the parser multiplies term maps
     x = NCPoly.letter("a0") + NCPoly.word(("a2", "a1"))
     assert parse("(a0 + a2*a1)^5", hq) == x * x * x * x * x
+
+
+# The coefficient pool of the property tests and of the nf-mix benchmark,
+# as (text, value) pairs: 1, -1, 1/2, i, -i*q, q, q^-1, i*q^2 + 1.
+_I, _Q, _ONE = LaurentScalar.i_unit(), LaurentScalar.q_power(1), LaurentScalar.one()
+COEFFS = (("1", _ONE), ("-1", -_ONE), ("(1/2)", _ONE / 2), ("i", _I),
+          ("-i*q", -_I * _Q), ("q", _Q), ("q^-1", LaurentScalar.q_power(-1)),
+          ("(i*q^2+1)", _I * _Q * _Q + 1))
+
+
+def random_expression(rng, pres, depth):
+    """(text, NCPoly) built side by side: terms, sums, differences,
+    products and small powers, the polynomial by NCPoly arithmetic."""
+    kind = rng.randrange(5) if depth else 0
+    if kind == 0:
+        text, c = rng.choice(COEFFS)
+        poly = NCPoly.scalar(c, pres.name)
+        word = [rng.choice(pres.generator_ids()) for _ in range(rng.randint(0, 3))]
+        for gid in word:
+            poly = poly * NCPoly.letter(gid, pres.name)
+        return "*".join([text, *word]), poly
+    lt, lp = random_expression(rng, pres, depth - 1)
+    if kind == 4:
+        k = rng.randint(0, 3)
+        power = NCPoly.unit(pres.name)
+        for _ in range(k):
+            power = power * lp
+        return f"({lt})^{k}", power
+    rt, rp = random_expression(rng, pres, depth - 1)
+    if kind == 1:
+        return f"{lt} + {rt}", lp + rp
+    if kind == 2:
+        return f"({lt}) - ({rt})", lp - rp
+    return f"({lt})*({rt})", lp * rp
+
+
+@pytest.mark.parametrize("name", sorted(_CATALOG_BUILDERS))
+def test_parse_agrees_with_polynomial_arithmetic(name):
+    pres = get_presentation(name)
+    rng = random.Random(f"parse:{name}")
+    for _ in range(40):
+        text, want = random_expression(rng, pres, 3)
+        got = parse(text, pres)
+        assert got.terms == want.terms, text
+        assert got.universe == want.universe == pres.name

@@ -6,6 +6,7 @@ common-denominator layout of LaurentScalar.
 """
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -366,7 +367,22 @@ def test_coerced_constants_are_canonical(value):
     assert_canonical(LaurentScalar.coerce(value))
 
 
-@pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2), -1])
+def seeded_fractions(count=36):
+    """n/d in twelve strata: numerators of 6 or about 200 digits, either
+    sign; denominators of 6 or 200 digits or a multiple of the modulus of
+    Python's numeric hash, which makes the hash infinite."""
+    rng = random.Random(370)
+    modulus = sys.hash_info.modulus
+    out = []
+    for k in range(count):
+        n = rng.randrange(1, 10 ** 200) if k % 2 else rng.randrange(1, 10 ** 6)
+        d = (modulus * rng.randrange(1, 10 ** 6), rng.randrange(10 ** 199, 10 ** 200),
+             rng.randrange(2, 10 ** 6))[k % 3]
+        out.append(Fraction(-n if k % 4 >= 2 else n, d))
+    return out
+
+
+@pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2), -1, *seeded_fractions()])
 def test_real_constants_hash_like_the_equal_number(value):
     x = LaurentScalar.coerce(value)
     assert x == value
