@@ -295,10 +295,11 @@ class Presentation:
         return None
 
     def normal_form(self, p: NCPoly, trace=None) -> NCPoly:
-        """Fully reduce p, leftmost reducible pair first.
+        """Fully reduce p, leftmost reducible pair first, into this universe.
 
         A specialized presentation evaluates p at its q first, which
-        leftmost normal form, linear over the coefficients, allows.
+        leftmost normal form, linear over the coefficients, allows.  The
+        result is tagged with this presentation's name, whatever p's tag.
         trace, if given, is a set collecting the lhs pairs of every rule
         on the leftmost rewrite graph of the words of p: the rules that
         rewriting each word path by path would fire.
@@ -319,7 +320,7 @@ class Presentation:
                     seen.add(w)
                     trace.add(w[i:i + 2])
                     todo += [w[:i] + rw + w[i + 2:] for rw in self.rules[w[i:i + 2]].terms]
-        return NCPoly._of(out, p.universe)
+        return NCPoly._of(out, self.name)
 
     def _nf_word(self, word):
         # _nf_cache maps a word to its normal form terms.  Pending words are

@@ -10,18 +10,16 @@ import argparse
 import sys
 from fractions import Fraction
 
+from . import calculus, hopf, verify
 from .algebra import (
     AlgebraError,
     Presentation,
     PresentationError,
     render_poly,
 )
-from .calculus import differential, star, star_table
-from .hopf import antipode, coproduct, counit
 from .parser import ParseError, parse
 from .presentations import get_presentation, shipped_names, specialize
-from .report import ENGINE_VERSION
-from .verify import SUITES, run_suite
+from .report import ENGINE_VERSION, SUITES
 
 __all__ = ["main"]
 
@@ -97,13 +95,14 @@ def _cmd_apply(args) -> int:
     if op in ("d", "star"):
         pres = _presentation(args, with_d=op == "d")
         if op == "star":
-            table = star_table(_algebra_name(args))
+            table = calculus.star_table(_algebra_name(args))
         elif not any(g.id == "da0" for g in pres.generators):
             raise CliError(
                 f"the differential needs differential letters; "
                 f"universe {args.algebra!r} has none")
         p = parse(args.expr, pres)
-        result = star(p, table, pres) if op == "star" else differential(p, pres)
+        result = (calculus.star(p, table, pres) if op == "star"
+                  else calculus.differential(p, pres))
         print(render_poly(result, pres, unicode_mode=args.unicode))
         return 0
     if args.at_q is not None:
@@ -114,20 +113,20 @@ def _cmd_apply(args) -> int:
     hq = get_presentation("hq")
     p = parse(args.expr, hq)
     if op == "coproduct":
-        print(coproduct(p).render(hq, unicode_mode=args.unicode))
+        print(hopf.coproduct(p).render(hq, unicode_mode=args.unicode))
         return 0
     if op == "counit":
-        print(counit(p).render())
+        print(hopf.counit(p).render())
         return 0
     loc = get_presentation("hq_localized")
-    print(render_poly(antipode(p), loc, unicode_mode=args.unicode))
+    print(render_poly(hopf.antipode(p), loc, unicode_mode=args.unicode))
     return 0
 
 
 def _cmd_verify(args) -> int:
     if args.cap < 0:
         raise CliError(f"--cap must be at least 0, got {args.cap}")
-    report = run_suite(args.suite, cap=args.cap)
+    report = verify.run_suite(args.suite, cap=args.cap)
     print(report.render_table())
     path = args.output or f"qcalc-report-{args.suite}.json"
     with open(path, "w", encoding="utf-8") as fh:

@@ -13,7 +13,12 @@ ENGINE_VERSION = "0.1.0"
 
 STATUSES = ("pass", "fail", "finding")
 
-__all__ = ["CheckRecord", "VerificationReport", "ENGINE_VERSION", "STATUSES"]
+# the suites `qcalc verify` runs; here, not in verify, so that naming
+# them does not load the verification code
+SUITES = ("all", "hopf", "dga", "classical", "grassmann", "vector-fields")
+
+__all__ = ["CheckRecord", "VerificationReport", "ENGINE_VERSION", "STATUSES",
+           "SUITES"]
 
 
 class _Record:

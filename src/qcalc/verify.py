@@ -39,9 +39,7 @@ from .presentations import (
     qp,
     rat,
 )
-from .report import CheckRecord, VerificationReport
-
-SUITES = ("all", "hopf", "dga", "classical", "grassmann", "vector-fields")
+from .report import SUITES, CheckRecord, VerificationReport
 
 QUANTUM_FIELD_CAP = 2
 

@@ -116,6 +116,18 @@ def test_a_specialized_normal_form_evaluates_a_q_free_input_no_more(monkeypatch)
     assert calls
 
 
+def test_a_normal_form_is_tagged_with_the_universe_it_was_reduced_in(hq):
+    hq2 = specialize(hq, 2)
+    generic = parse("q*a0", hq)
+    at2 = hq2.normal_form(generic)
+    assert at2.universe == hq2.name
+    assert at2 == NCPoly.word(("a0",), 2, hq2.name)
+    # a value at q = 2 does not mix with one at generic q
+    with pytest.raises(UniverseMismatchError):
+        at2 - generic
+    assert hq.normal_form(NCPoly.letter("a0")).universe == "hq"
+
+
 def assert_canonical_map(p):
     for w, c in p.terms.items():
         assert type(w) is tuple, w

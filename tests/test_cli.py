@@ -1,9 +1,5 @@
 import argparse
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -351,12 +347,43 @@ def test_literal_paper_only_applies_to_the_differential_algebra(capsys):
     assert "--literal-paper" in err
 
 
-def test_import_leaves_unused_standard_modules_unloaded():
+def test_import_leaves_unused_standard_modules_unloaded(run_cold):
     """A cold `import qcalc`, which every command pays, loads none of these."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=str(Path(qcalc.__file__).parents[1]))
     unused = ("dataclasses", "inspect", "datetime", "json")
     code = f"import sys, qcalc; print([m for m in {unused!r} if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out == "[]\n"
+    assert run_cold(code) == "[]\n"
+
+
+# Runs the normal-form path cold and lists, before and after the first
+# use of qcalc.run_suite, the layered modules whose code has run.
+COLD_CORE = """
+import sys
+from pathlib import Path
+
+ran = set()
+
+def audit(event, args):
+    if event == "exec" and hasattr(args[0], "co_filename"):
+        path = Path(args[0].co_filename)
+        if path.parent.name == "qcalc" and path.stem in ("calculus", "hopf", "verify"):
+            ran.add(path.stem)
+
+sys.addaudithook(audit)
+import qcalc
+import qcalc.cli
+
+hq = qcalc.get_presentation("hq")
+print(qcalc.render_poly(hq.normal_form(qcalc.parse("a0*a1", hq)), hq))
+qcalc.specialize(hq, 2)
+print(qcalc.cli.main(["nf", "a0*a1"]), qcalc.cli.main(["check", "a2*a3", "a3*a2"]))
+print(sorted(ran))
+qcalc.run_suite
+print(sorted(ran))
+"""
+
+
+def test_the_normal_form_path_runs_no_calculus_hopf_or_verify_code(run_cold):
+    """calculus, hopf and verify load on first use, which nf and check never make."""
+    out = run_cold(COLD_CORE).splitlines()
+    assert out == [NF_A0A1, NF_A0A1, "EQUAL", "0 0", "[]",
+                   "['calculus', 'hopf', 'verify']"]
