@@ -14,8 +14,8 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from .scalar import (LaurentScalar, ScalarParseError, _superscript, add_term,
-                     convolve, q_ratio, render_signed_sum)
+from .scalar import (LaurentScalar, ScalarParseError, _superscript, add_scaled,
+                     add_term, convolve, q_ratio, render_signed_sum, settle)
 
 Word = tuple  # tuple[str, ...]
 
@@ -92,10 +92,7 @@ class NCPoly:
     # -- universe bookkeeping ----------------------------------------
 
     def _merge_universe(self, other):
-        a, b = self.universe, getattr(other, "universe", None)
-        if a and b and a != b:
-            raise UniverseMismatchError(f"mixed generator universes: {a!r} vs {b!r}")
-        return a or b
+        return _joint_universe(self.universe, getattr(other, "universe", None))
 
     # -- ring operations ---------------------------------------------
 
@@ -176,6 +173,12 @@ class NCPoly:
         return f"NCPoly({inner or '0'})"
 
 
+def _joint_universe(a, b):
+    if a and b and a != b:
+        raise UniverseMismatchError(f"mixed generator universes: {a!r} vs {b!r}")
+    return a or b
+
+
 def substitute(p: NCPoly, images: dict, pres: "Presentation" = None) -> NCPoly:
     """Algebra homomorphism replacing letters by polynomials.
 
@@ -183,14 +186,16 @@ def substitute(p: NCPoly, images: dict, pres: "Presentation" = None) -> NCPoly:
     is tagged with its universe and reduced in it once, after the images
     of all words are summed, so that terms cancel before any rewriting.
     """
-    universe = pres.name if pres else None
-    out = NCPoly.zero(universe)
+    universe = tag = pres.name if pres else None
+    out = {}
     for w, c in p.terms.items():
-        acc = NCPoly.scalar(c, universe)
+        img = NCPoly.unit(universe)
         for letter in w:
-            img = images.get(letter)
-            acc = acc * (img if img is not None else NCPoly.letter(letter, universe))
-        out = out + acc
+            factor = images.get(letter)
+            img = img * (factor if factor is not None else NCPoly.letter(letter, universe))
+        tag = _joint_universe(tag, img.universe)
+        add_scaled(out, img.terms, c)
+    out = NCPoly._of(settle(out), tag)
     return pres.normal_form(out) if pres else out
 
 
@@ -297,6 +302,10 @@ class Presentation:
     def normal_form(self, p: NCPoly, trace=None) -> NCPoly:
         """Fully reduce p, leftmost reducible pair first, into this universe.
 
+        The result is sum c*NF(w) over the terms c*w of p, highest degree
+        first: each NF(w) comes from _nf_word and is added in scaled by c
+        through add_scaled, and every coefficient is made canonical once,
+        when the sum is settled.  A one-word p is scaled without a sum.
         A specialized presentation evaluates p at its q first, which
         leftmost normal form, linear over the coefficients, allows.  The
         result is tagged with this presentation's name, whatever p's tag.
@@ -307,10 +316,14 @@ class Presentation:
         self.check_letters(p)
         if self.q is not None:
             p = p.eval_at(self.q)
-        out = {}
-        for w, c in sorted(p.terms.items(), key=lambda kv: self.word_sort_key(kv[0])):
-            for nw, nc in self._nf_word(w).items():
-                add_term(out, nw, nc * c)
+        if len(p.terms) == 1:
+            (w, c), = p.terms.items()
+            out = {nw: nc * c for nw, nc in self._nf_word(w).items()}
+        else:
+            out = {}
+            for w, c in sorted(p.terms.items(), key=lambda kv: self.word_sort_key(kv[0])):
+                add_scaled(out, self._nf_word(w), c)
+            settle(out)
         if trace is not None:
             seen, todo = set(), list(p.terms)
             while todo:
@@ -326,9 +339,13 @@ class Presentation:
         # _nf_cache maps a word to its normal form terms.  Pending words are
         # merged as they arise and drained first in, first out; a cached one
         # is added from the cache, not rewritten.  Leftmost normal form is
-        # linear, so neither changes a result, confluent or not.  Each word
-        # and coefficient is stored as _nf_values' representative of its
-        # value, so equal ones share one immutable object.
+        # linear, so neither changes a result, confluent or not.  pending
+        # stays canonical after every step (add_term): a word whose
+        # coefficient cancels leaves it at once, which the cycle count
+        # and the drain order rely on; acc is one add_scaled sum, settled
+        # at the end.  Each word and coefficient is stored as _nf_values'
+        # representative of its value, so equal ones share one immutable
+        # object.
         cache = self._nf_cache
         hit = cache.get(word)
         if hit is not None:
@@ -341,12 +358,11 @@ class Presentation:
             c = pending.pop(w)
             known = cache.get(w)
             if known is not None:
-                for nw, nc in known.items():
-                    add_term(acc, nw, nc * c)
+                add_scaled(acc, known, c)
                 continue
             i = self._first_redex(w)
             if i is None:
-                add_term(acc, w, c)
+                add_scaled(acc, {w: c}, seed)
                 continue
             # Pending words drain in generations, so the k-th rewrite of w ends
             # a chain of at least k rewritten words.  Without a cycle no word
@@ -364,7 +380,7 @@ class Presentation:
                          rc if c is seed else c * rc)
         keep = self._nf_values.setdefault
         return cache.setdefault(keep(word, word),
-                                {keep(w, w): keep(c, c) for w, c in acc.items()})
+                                {keep(w, w): keep(c, c) for w, c in settle(acc).items()})
 
     def nc_equal(self, p: NCPoly, r: NCPoly) -> bool:
         return not self.normal_form(p - r).terms

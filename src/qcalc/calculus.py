@@ -10,6 +10,9 @@ reversed words with conjugated coefficients).  differential and star
 reduce in the presentation they are given.
 """
 
+import operator
+from functools import partial
+
 from .algebra import (
     NCPoly,
     Presentation,
@@ -34,7 +37,7 @@ from .presentations import (
     rat,
     specialize,
 )
-from .scalar import add_term
+from .scalar import add_scaled, settle
 
 __all__ = [
     "apply_field",
@@ -285,10 +288,14 @@ def unit_norm_extension(name: str = "units_dga",
     if has_da and with_norm_differential:
         dn = differential(norm_poly(), base)
         pivot = ("da2", "a2")
-        c = dn.terms[pivot]
-        rest = dn - NCPoly.word(pivot, c)
-        rules[pivot] = NCPoly(
-            {w: -(coeff.divide_exact(c)) for w, coeff in rest.terms.items()})
+        c = dn.terms.get(pivot)
+        quotients = {w: coeff.divide_exact(c) if c else None
+                     for w, coeff in dn.terms.items() if w != pivot}
+        if None in quotients.values() or not c:
+            raise PresentationError(
+                f"{base.name}: dN = 0 gives no rule for the pivot da2*a2: its "
+                f"coefficient in dN, {c or 0}, does not divide every other one")
+        rules[pivot] = NCPoly({w: -quo for w, quo in quotients.items()})
     return Presentation(
         base.name + "+unit_norm",
         list(base.generators),
@@ -374,9 +381,8 @@ def apply_field(table: dict, p: NCPoly) -> NCPoly:
     """
     out = {}
     for w, c in p.terms.items():
-        for v, d in table[w].terms.items():
-            add_term(out, v, c * d)
-    return NCPoly._of(out)
+        add_scaled(out, table[w].terms, c)
+    return NCPoly._of(settle(out))
 
 
 def coordinate_frame_coefficients(f: NCPoly, classical: bool = False) -> dict:
@@ -436,9 +442,8 @@ def _frame_parts(cap: int, classical: bool = False) -> dict:
         acc = {m: {(bid,) + tail: rat(sgn)} for m, bid, sgn in _DA_ROWS[aid]}
         for k, fk in table[tail].items():
             for (m, bid), c in cm.rules[aid, k].terms.items():
-                for v, d in fk.terms.items():
-                    add_term(acc[m], (bid,) + v, c * d)
-        table[word] = {m: cm.normal_form(NCPoly._of(t)) for m, t in acc.items()}
+                add_scaled(acc[m], fk.terms, c, partial(operator.add, (bid,)))
+        table[word] = {m: cm.normal_form(NCPoly._of(settle(t))) for m, t in acc.items()}
     return table
 
 
@@ -541,9 +546,8 @@ def verify_lie_algebra(cap: int, mode: str):
         for record, row in checks:
             acc = {}
             for key, c in row.items():
-                for v, d in images[key].terms.items():
-                    add_term(acc, v, d * c)
-            residual = hq.normal_form(NCPoly._of(acc))
+                add_scaled(acc, images[key].terms, c)
+            residual = hq.normal_form(NCPoly._of(settle(acc)))
             if residual:
                 record["failures"].append((w, residual))
     return {convention: [record for record, _ in checks

@@ -13,7 +13,8 @@ import functools
 import operator
 
 from .algebra import NCPoly, Presentation, _render_word, substitute
-from .scalar import LaurentScalar, add_term, convolve, render_signed_sum
+from .scalar import (LaurentScalar, add_scaled, add_term, convolve, render_signed_sum,
+                     settle)
 from .calculus import _STAR_IMAGES, star, star_table
 from .presentations import A, C, L, ONE, get_presentation, norm_poly, rat
 
@@ -31,6 +32,10 @@ __all__ = [
 
 def _join_legs(k1, k2):
     return tuple(map(operator.add, k1, k2))
+
+
+def _append(key, w):
+    return key + (w,)
 
 
 class TensorPoly:
@@ -98,19 +103,30 @@ class TensorPoly:
     def normal_form(self, pres: Presentation) -> "TensorPoly":
         """Reduce every leg independently, each distinct leg word once.
 
-        Tensor coefficients are reduced at generic q only, never at pres.q."""
+        The product of the leg normal forms is built leg by leg; the last
+        leg is added into the result scaled by each partial product, one
+        add_scaled sum settled at the end.  Tensor coefficients are
+        reduced at generic q only, never at pres.q."""
         leg_nf = {}
+
+        def nf(w):
+            terms = leg_nf.get(w)
+            if terms is None:
+                terms = leg_nf[w] = pres.normal_form(NCPoly.word(w)).terms
+            return terms
+
         out = {}
         for key, c in self.terms.items():
-            partial = {(): c}
-            for w in key:
-                nf = leg_nf.get(w)
-                if nf is None:
-                    nf = leg_nf[w] = pres.normal_form(NCPoly.word(w)).terms
-                partial = convolve(partial, nf, lambda k, v: k + (v,))
-            for k2, c2 in partial.items():
-                add_term(out, k2, c2)
-        return TensorPoly(out, self.legs)
+            if not key:  # no legs: the one key is ()
+                out[key] = c
+                continue
+            heads = {(): c}
+            for w in key[:-1]:
+                heads = convolve(heads, nf(w), _append)
+            last = nf(key[-1])
+            for head, h in heads.items():
+                add_scaled(out, last, h, functools.partial(_append, head))
+        return TensorPoly(settle(out), self.legs)
 
     def map_leg(self, idx: int, images: dict, image_legs: int,
                 pres: Presentation) -> "TensorPoly":
@@ -118,16 +134,17 @@ class TensorPoly:
 
         Each word's image is folded one letter at a time and every leg of
         it reduced in pres after each letter, which keeps it small; the
-        other legs are kept as they are.
+        other legs are kept as they are.  The term's coefficient scales
+        the image only as it is added in, which linearity allows.
         """
         out = {}
         for key, c in self.terms.items():
-            img = TensorPoly.unit(image_legs) * c
+            img = TensorPoly.unit(image_legs)
             for gid in key[idx]:
                 img = (img * images[gid]).normal_form(pres)
-            for k2, c2 in img.terms.items():
-                add_term(out, key[:idx] + k2 + key[idx + 1:], c2)
-        return TensorPoly(out, self.legs - 1 + image_legs)
+            head, tail = key[:idx], key[idx + 1:]
+            add_scaled(out, img.terms, c, lambda k2: head + k2 + tail)
+        return TensorPoly(settle(out), self.legs - 1 + image_legs)
 
     def contract_leg(self, idx: int, scalar_fn) -> "TensorPoly":
         """Apply a scalar-valued homomorphism to one leg."""

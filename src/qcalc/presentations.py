@@ -587,8 +587,10 @@ def grassmann_vs_differentials_crosscheck():
         "detail": "both tables equate the squares of their last two generators",
         "residual": substitute(sq_gr, images) + sq_da,
     })
-    gr_coeff = gr.rules[("psi2", "psi2")].terms.get(("psi1", "psi0"))
-    da_coeff = printed.rules[("da2", "da2")].terms.get(("da1", "da0"))
+    # an absent square coefficient is zero
+    zero = LaurentScalar.zero()
+    gr_coeff = gr.rules[("psi2", "psi2")].terms.get(("psi1", "psi0"), zero)
+    da_coeff = printed.rules[("da2", "da2")].terms.get(("da1", "da0"), zero)
     ratio = da_coeff.divide_exact(gr_coeff) if gr_coeff else None
     records.append({
         "id": "squares.common-coefficient",
@@ -596,7 +598,7 @@ def grassmann_vs_differentials_crosscheck():
         "detail": (
             "square coefficients agree" if gr_coeff == da_coeff else
             "stated differential square coefficient is "
-            f"{ratio.render() if ratio else '?'} times the odd-generator "
+            f"{'?' if ratio is None else ratio.render()} times the odd-generator "
             "value; the closure oracle sides with the odd-generator value"
         ),
         "residual": NCPoly({("da1", "da0"): da_coeff - gr_coeff}),

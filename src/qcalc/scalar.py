@@ -16,22 +16,33 @@ out such constants, whose re and im give the Fraction parts.
 GaussRational(re, im) survives only as a constructor of them: no value
 is an instance of it.
 
-add_term and convolve are the sparse-map core shared by every layer: a
-LaurentScalar's numerator maps take q-exponents to ints, an NCPoly maps
-words to LaurentScalars and a TensorPoly maps tuples of words to
-LaurentScalars, and all three accumulate and multiply through these two
-functions.
+add_term, add_scaled, settle and convolve are the sparse-map core shared
+by every layer: an NCPoly maps words to LaurentScalars and a TensorPoly
+maps tuples of words to LaurentScalars.  add_term adds one value and
+keeps the map canonical after every step; add_scaled adds a whole map
+times a coefficient, acc[k] += v*c, and is how every sum of products
+accumulates (a normal form, a polynomial or tensor product, a vector
+field applied).  Its first contribution to a key is stored as the
+LaurentScalar v*c, so the product's fast paths below still apply; a key
+met again holds a raw sum, integer numerator maps over one common
+denominator, and further products add into it as integers, with no gcd
+and no new object.  settle(acc) makes only those keys canonical, in
+place, once per sum, and drops the ones that cancelled: a coefficient
+becomes canonical when its sum is settled, not after every term.
+convolve, the product of two such maps, accumulates the same way.
 
 A product picks one of five paths by the shape of its factors: a factor
 equal to 1 hands back the other factor itself; two constants, the only
 coefficients at a specialized q, multiply as Gaussian rationals in one
 step (_constant_product), as two constants add in one; a one-term factor
 r*q^n or i*r*q^n shifts and scales the other (_times_monomial); two
-factors that are each purely real or purely imaginary need one
-convolve; only a factor with both parts takes the general four-convolve
-product.  One factor is tested for being constant only once the other
-is known to be a one-term constant, or just before the general product,
-so the other paths pay nothing for the constant path.
+factors that are each purely real or purely imaginary need one integer
+convolution (_convolve_ints); only a factor with both parts takes the
+general product, added into an empty raw sum by the integer loop of
+add_scaled (_add_product).  One factor is tested for being constant
+only once the other is known to be a one-term constant, or just before
+the general product, so the other paths pay nothing for the constant
+path.
 
 Handing back a factor is safe because a LaurentScalar is immutable:
 nothing writes to _re or _im after _canonical or __init__ builds them,
@@ -42,7 +53,6 @@ every q.
 
 from __future__ import annotations
 
-import operator
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -66,27 +76,65 @@ def add_term(acc: dict, key, c) -> None:
             del acc[key]
 
 
-def convolve(left: dict, right: dict, join) -> dict:
-    """Product of two sparse maps: keys combine by join, values multiply.
+def add_scaled(acc: dict, terms: dict, c: "LaurentScalar", join=None) -> dict:
+    """acc[k] += v*c for every term k: v of terms, or acc[join(k)] given join.
 
-    Accumulates as add_term does, inline: no zero is stored and a key
-    whose sum cancels is deleted.
+    Returns acc, which holds raw sums until settle(acc) (see the module
+    docstring): read it only after settling.  terms' values and c are
+    nonzero LaurentScalars.
     """
-    out = {}
+    for k, v in terms.items():
+        if join is not None:
+            k = join(k)
+        old = acc.get(k)
+        if old is None:
+            acc[k] = v * c
+        else:
+            if old.__class__ is not list:
+                old = acc[k] = _raw(old)
+            _add_product(old, v, c)
+    return acc
+
+
+def settle(acc: dict) -> dict:
+    """Make acc canonical in place after add_scaled: each raw sum becomes
+    a LaurentScalar, and a key whose sum cancelled is deleted.  Returns acc.
+
+    A key keeps the place of its first contribution, even if its sum
+    passed through zero on the way.
+    """
+    dead = []
+    for k, s in acc.items():
+        if s.__class__ is list:
+            s = _from_sum(s)
+            if s:
+                acc[k] = s
+            else:
+                dead.append(k)
+    for k in dead:
+        del acc[k]
+    return acc
+
+
+def convolve(left: dict, right: dict, join) -> dict:
+    """Product of two sparse maps of LaurentScalars: keys combine by join,
+    values multiply.
+
+    Accumulates as add_scaled does, inline, and settles: no zero is stored.
+    """
+    out, raw = {}, False
     for k1, v1 in left.items():
         for k2, v2 in right.items():
             k = join(k1, k2)
-            if k in out:
-                v = out[k] + v1 * v2
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
+            old = out.get(k)
+            if old is None:
+                out[k] = v1 * v2
             else:
-                v = v1 * v2
-                if v:
-                    out[k] = v
-    return out
+                if old.__class__ is not list:
+                    old = out[k] = _raw(old)
+                    raw = True
+                _add_product(old, v1, v2)
+    return settle(out) if raw else out
 
 
 def q_ratio(q0) -> tuple[int, int]:
@@ -146,16 +194,80 @@ def _constant_product(x: "LaurentScalar", y: "LaurentScalar") -> "LaurentScalar"
     return _constant(a * c - b * d, a * d + b * c, x._den * y._den)
 
 
-def _absorb(acc: dict, terms: dict, sign: int = 1) -> dict:
-    """acc += sign*terms in place; returns acc."""
+def _absorb(acc: dict, terms: dict) -> dict:
+    """acc += terms in place; returns acc."""
     for n, v in terms.items():
-        add_term(acc, n, v if sign == 1 else -v)
+        add_term(acc, n, v)
     return acc
 
 
 def _scaled(terms: dict, k: int) -> dict:
     """k*terms as a new map."""
     return {n: v * k for n, v in terms.items()}
+
+
+def _convolve_ints(left: dict, right: dict) -> dict:
+    """Product of two numerator maps, exponent -> int; no zero stored."""
+    out = {}
+    for n1, v1 in left.items():
+        for n2, v2 in right.items():
+            n = n1 + n2
+            v = out.get(n, 0) + v1 * v2
+            if v:
+                out[n] = v
+            else:
+                del out[n]
+    return out
+
+
+def _add_product(s: list, x: "LaurentScalar", y: "LaurentScalar") -> None:
+    """s += x*y for a raw sum s = [re, im, den], in integers.
+
+    den grows to a common multiple of its own and x*y's denominator;
+    numerators may be zero and share a factor with den (_from_sum).
+    """
+    re, im, den = s
+    d = x._den * y._den
+    if den % d:
+        m = lcm(den, d)
+        f = m // den
+        for n in re:
+            re[n] *= f
+        for n in im:
+            im[n] *= f
+        s[2] = den = m
+    f = den // d
+    if len(x._re) + len(x._im) < len(y._re) + len(y._im):
+        x, y = y, x
+    xr, xi = x._re, x._im
+    # (xr + i*xi)*(yr + i*yi) = (xr*yr - xi*yi) + i*(xr*yi + xi*yr)
+    for n, r in y._re.items():
+        r *= f
+        for e, v in xr.items():
+            re[e + n] = re.get(e + n, 0) + v * r
+        for e, v in xi.items():
+            im[e + n] = im.get(e + n, 0) + v * r
+    for n, r in y._im.items():
+        r *= f
+        for e, v in xi.items():
+            re[e + n] = re.get(e + n, 0) - v * r
+        for e, v in xr.items():
+            im[e + n] = im.get(e + n, 0) + v * r
+
+
+def _raw(x: "LaurentScalar") -> list:
+    """x as a raw sum, with maps of its own."""
+    return [dict(x._re), dict(x._im), x._den]
+
+
+def _from_sum(s: list) -> "LaurentScalar":
+    """The canonical LaurentScalar of a raw sum [re, im, den]."""
+    re, im, den = s
+    if 0 in re.values():
+        re = {n: v for n, v in re.items() if v}
+    if 0 in im.values():
+        im = {n: v for n, v in im.items() if v}
+    return _canonical(re, im, den)
 
 
 def _times_monomial(x: "LaurentScalar", m: "LaurentScalar") -> "LaurentScalar":
@@ -288,7 +400,7 @@ class LaurentScalar:
         den = self._den * other._den
         if not (a and b or c and d):
             # Each factor purely real or purely imaginary (or zero).
-            prod = convolve(a or b, c or d, operator.add)
+            prod = _convolve_ints(a or b, c or d)
             if not (b or d):
                 return _canonical(prod, {}, den)
             if not (a or c):
@@ -296,11 +408,9 @@ class LaurentScalar:
             return _canonical({}, prod, den)
         if self._is_constant() and other._is_constant():
             return _constant_product(self, other)
-        add = operator.add
-        # (a + ib)(c + id) = (ac - bd) + i(ad + bc)
-        re = _absorb(convolve(a, c, add), convolve(b, d, add), -1)
-        im = _absorb(convolve(a, d, add), convolve(b, c, add))
-        return _canonical(re, im, den)
+        s = [{}, {}, den]
+        _add_product(s, self, other)
+        return _from_sum(s)
 
     __rmul__ = __mul__
 

@@ -1,7 +1,8 @@
 import pytest
 
 import qcalc.calculus
-from qcalc import NCPoly, PresentationError, get_presentation, render_poly
+import qcalc.presentations
+from qcalc import NCPoly, Presentation, PresentationError, get_presentation, render_poly
 from qcalc.calculus import (
     _STAR_IMAGES,
     OMEGA_BAR_CANDIDATES,
@@ -281,6 +282,19 @@ def test_unit_norm_extension_universes():
     assert len(plain.rules) == 66
     assert len(full.check_local_confluence()) == 64
     assert len(plain.check_local_confluence()) == 4
+
+
+def test_unit_norm_extension_names_a_pivot_that_does_not_divide(monkeypatch):
+    # negating the first rhs coefficient of a2*da2 leaves dN with a pivot
+    # coefficient that does not divide the others
+    dga = get_presentation("dga")
+    rules = dict(dga.rules)
+    (word, coeff), *rest = rules["a2", "da2"].terms.items()
+    rules["a2", "da2"] = NCPoly({word: -coeff, **dict(rest)})
+    mutated = Presentation(dga.name, dga.generators, rules, dga.description)
+    monkeypatch.setitem(qcalc.presentations._cache, "dga", mutated)
+    with pytest.raises(PresentationError, match=r"pivot da2\*a2"):
+        unit_norm_extension("dga")
 
 
 def test_differentials_recover_on_the_unit_sphere():

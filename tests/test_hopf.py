@@ -62,6 +62,12 @@ def test_tensor_normal_form_acts_legwise():
     assert nf == tensor(letter("a3") * letter("a2"), letter("a0"))
 
 
+def test_tensor_normal_form_of_no_legs_is_the_scalar():
+    hq = get_presentation("hq")
+    half = LaurentScalar.one() / 2
+    assert (tensor() * half).normal_form(hq) == TensorPoly({(): half}, legs=0)
+
+
 def test_tensor_contract_and_as_poly():
     t = tensor(letter("a0"), letter("a1")) + tensor(NCPoly.unit("hq"), letter("a2"))
     dropped = t.contract_leg(0, lambda p: counit(p))

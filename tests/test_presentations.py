@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import qcalc.presentations
 from qcalc import (
     NCPoly,
     Presentation,
@@ -153,6 +154,28 @@ def test_grassmann_translation_matches_on_nine_of_ten_rows():
     flagged = by_id["squares.common-coefficient"]
     assert "(2)" in flagged["detail"]
     assert flagged["residual"]
+
+
+@pytest.mark.parametrize("name, lhs, word", [
+    ("grassmann", ("psi2", "psi2"), ("psi1", "psi0")),
+    ("dga_literal", ("da2", "da2"), ("da1", "da0")),
+], ids=["grassmann", "dga_literal"])
+def test_grassmann_crosscheck_reads_an_absent_square_coefficient_as_zero(
+        monkeypatch, name, lhs, word):
+    pres = get_presentation(name)
+    rules = dict(pres.rules)
+    rules[lhs] = NCPoly({w: c for w, c in rules[lhs].terms.items() if w != word})
+    monkeypatch.setitem(qcalc.presentations._cache, name, Presentation(
+        pres.name, pres.generators, rules, pres.description))
+    rows = grassmann_vs_differentials_crosscheck()
+    assert len(rows) == 10
+    flagged = {row["id"]: row for row in rows}["squares.common-coefficient"]
+    assert not flagged["match"]
+    # the residual is da_coeff - gr_coeff with the dropped one read as 0
+    da_coeff = get_presentation("dga_literal").rules["da2", "da2"].terms.get(("da1", "da0"))
+    gr_coeff = get_presentation("grassmann").rules["psi2", "psi2"].terms.get(("psi1", "psi0"))
+    kept = da_coeff if name == "grassmann" else -gr_coeff
+    assert flagged["residual"] == NCPoly({("da1", "da0"): kept})
 
 
 def test_shipped_presentation_files_match_the_builders():

@@ -12,8 +12,9 @@ from math import gcd
 
 import pytest
 
-from qcalc import GaussRational, LaurentScalar, NCPoly, parse_scalar
-from qcalc.scalar import render_signed_sum
+from qcalc import (GaussRational, LaurentScalar, NCPoly, get_presentation, parse_scalar,
+                   specialize)
+from qcalc.scalar import add_scaled, add_term, render_signed_sum, settle
 
 ZERO = Fraction(0)
 
@@ -513,3 +514,116 @@ def test_gauss_rational_builds_a_canonical_constant():
     h = GaussRational.of(Fraction(1, 6), Fraction(-3, 4))
     assert_matches(h, {0: (Fraction(1, 6), Fraction(-3, 4))})
     assert (h.re, h.im) == (Fraction(1, 6), Fraction(-3, 4))
+
+
+# -- the fused scale-and-accumulate kernel -------------------------------
+
+KEYS = ("w", "x", "y", "z")
+
+
+def random_nonzero(rng):
+    """A nonzero reference value of a random shape, constants included."""
+    shape = rng.choice(SHAPES + ("constant",))
+    if shape == "constant":
+        out = {0: (random_part(rng), random_part(rng))}
+        return out if out[0] != (ZERO, ZERO) else {0: (Fraction(1, 6), ZERO)}
+    return random_shaped(rng, shape) or {0: (Fraction(-2, 3), ZERO)}
+
+
+def kernel_sums(count=400, seed=20023):
+    """Seeded sums of maps times coefficients, as lists of (terms, c)
+    reference pairs over a few keys, so that keys repeat.  About a third
+    add some round again negated, so that those keys cancel exactly."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        rounds = []
+        for _ in range(rng.randint(1, 6)):
+            keys = rng.sample(KEYS, rng.randint(1, len(KEYS)))
+            rounds.append(({k: random_nonzero(rng) for k in keys}, random_nonzero(rng)))
+        if rng.random() < 0.35:
+            terms, c = rng.choice(rounds)
+            rounds.append((terms, ref_neg(c)))
+        out.append(rounds)
+    return out
+
+
+def ref_sum(rounds):
+    acc = {}
+    for terms, c in rounds:
+        for k, v in terms.items():
+            acc[k] = ref_add(acc.get(k, {}), ref_mul(v, c))
+    return {k: v for k, v in acc.items() if v}
+
+
+def test_add_scaled_sums_match_the_fraction_model_and_add_term():
+    cancelled = 0
+    for rounds in kernel_sums():
+        fused, reference = {}, {}
+        for terms, c in rounds:
+            terms, c = {k: to_scalar(v) for k, v in terms.items()}, to_scalar(c)
+            add_scaled(fused, terms, c)
+            for k, v in terms.items():
+                add_term(reference, k, v * c)
+        assert settle(fused) is fused
+        assert fused == reference
+        expected = ref_sum(rounds)
+        assert fused.keys() == expected.keys()
+        cancelled += len(KEYS) - len(expected)
+        for k, x in fused.items():
+            assert x  # a key whose sum cancels is dropped
+            assert_matches(x, expected[k])
+    assert cancelled > 100
+
+
+def test_add_scaled_applies_join_to_every_key():
+    rng = random.Random(20027)
+    for rounds in kernel_sums(count=60, seed=20029):
+        fused, reference = {}, {}
+        for terms, c in rounds:
+            tag = rng.choice("ab")
+            terms, c = {k: to_scalar(v) for k, v in terms.items()}, to_scalar(c)
+            add_scaled(fused, terms, c, lambda k: tag + k)
+            for k, v in terms.items():
+                add_term(reference, tag + k, v * c)
+        assert settle(fused) == reference
+
+
+def test_settle_keeps_canonical_values_as_they_are():
+    x, y = to_scalar({1: (Fraction(1, 2), ZERO)}), to_scalar({0: (ZERO, Fraction(3))})
+    acc = add_scaled({}, {"a": x, "b": y}, LaurentScalar.one())
+    assert acc["a"] is x and acc["b"] is y  # first contributions: x*1 is x
+    assert settle(acc) == {"a": x, "b": y}
+
+
+def random_poly(rng, pres):
+    gens = pres.generator_ids()
+    terms = {}
+    for _ in range(rng.randint(2, 5)):
+        w = tuple(rng.choice(gens) for _ in range(rng.randint(1, 4)))
+        terms[w] = to_scalar(random_nonzero(rng))
+    if rng.random() < 0.4:
+        # a rule times a coefficient, which reduces to zero on its own
+        lhs = rng.choice(sorted(pres.rules))
+        c = to_scalar(random_nonzero(rng))
+        for w, v in (NCPoly.word(lhs) - pres.rules[lhs]).terms.items():
+            add_term(terms, w, v * c)
+    return NCPoly(terms)
+
+
+@pytest.mark.parametrize("name", ["dga", "dga_literal", "dga@2/3"])
+def test_normal_form_is_the_sum_of_scaled_word_normal_forms(name):
+    base, _, q0 = name.partition("@")
+    pres = get_presentation(base)
+    if q0:
+        pres = specialize(pres, q0)
+    rng = random.Random(20031)
+    for _ in range(30):
+        p = random_poly(rng, pres)
+        expected = {}
+        for w, c in p.terms.items():
+            if pres.q is not None:
+                c = c.eval_at(pres.q)
+            for nw, nc in pres.normal_form(NCPoly.word(w)).terms.items():
+                add_term(expected, nw, nc * c)
+        assert pres.normal_form(p).terms == expected
