@@ -7,6 +7,8 @@ norm localization, the star calculus, and verification suites over
 every structural identity.
 """
 
+from types import ModuleType as _ModuleType
+
 from .scalar import GaussRational, LaurentScalar
 from .algebra import (
     AlgebraError,
@@ -102,60 +104,7 @@ def __dir__():
 
 __version__ = ENGINE_VERSION
 
-__all__ = [
-    "AlgebraError",
-    "CheckRecord",
-    "ENGINE_VERSION",
-    "GaussRational",
-    "LaurentScalar",
-    "NCPoly",
-    "OMEGA_BAR_CANDIDATES",
-    "ParseError",
-    "Presentation",
-    "PresentationError",
-    "RewritingCycleError",
-    "SUITES",
-    "TensorPoly",
-    "UniverseMismatchError",
-    "UnknownGeneratorError",
-    "UnknownSymbolError",
-    "VerificationReport",
-    "antipode",
-    "antipode_square",
-    "apply_field",
-    "cartan_maurer_d",
-    "classical",
-    "conversion_closure_residuals",
-    "coproduct",
-    "corrected_rule_diff",
-    "counit",
-    "da_from_w",
-    "differential",
-    "extract_vector_fields",
-    "get_presentation",
-    "grassmann_vs_differentials_crosscheck",
-    "leibniz_consistency_check",
-    "nilpotency_residuals",
-    "norm_differential",
-    "norm_poly",
-    "omega_forms",
-    "one_form_consistency_residuals",
-    "parse",
-    "parse_scalar",
-    "recover_differentials_on_unit_sphere",
-    "reduce_norm_factors",
-    "render_poly",
-    "run_suite",
-    "shipped_names",
-    "specialize",
-    "star",
-    "star_involution_residuals",
-    "star_table",
-    "substitute",
-    "tensor",
-    "unit_norm_extension",
-    "verify_d_star",
-    "verify_hopf_axioms",
-    "verify_lie_algebra",
-    "verify_omega_bar_identity",
-]
+# Every public name: each one the imports above bind, and each lazy one.
+__all__ = sorted({name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, _ModuleType)}
+                 | _LAZY_NAMES.keys())

@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .scalar import (LaurentScalar, ScalarParseError, _superscript, add_scaled,
-                     add_term, convolve, q_ratio, render_signed_sum, settle)
+                     add_term, convolve, eval_terms, render_signed_sum, settle)
 
 Word = tuple  # tuple[str, ...]
 
@@ -155,18 +155,8 @@ class NCPoly:
 
         A q-free polynomial is its own value: it is handed back as it is.
         """
-        p, r = q_ratio(q0)
-        for c in self.terms.values():
-            if not c._is_constant():
-                break
-        else:
-            return self
-        terms = {}
-        for w, c in self.terms.items():
-            v = c.value_at(p, r)
-            if v:
-                terms[w] = v
-        return NCPoly._of(terms, self.universe)
+        terms = eval_terms(self.terms, q0)
+        return self if terms is self.terms else NCPoly._of(terms, self.universe)
 
     def __repr__(self):
         inner = " + ".join(f"{c.render()}·{'·'.join(w) or '1'}" for w, c in self.terms.items())

@@ -189,10 +189,7 @@ def da_from_w() -> dict:
     cm = get_presentation("cartan_maurer")
     out = {}
     for aid, row in _DA_ROWS.items():
-        acc = NCPoly.zero(cm.name)
-        for wid, bid, sgn in row:
-            acc = acc + rat(sgn) * NCPoly.word((wid, bid), universe=cm.name)
-        out[aid] = acc
+        out[aid] = NCPoly({(wid, bid): sgn for wid, bid, sgn in row}, cm.name)
     return out
 
 
@@ -229,11 +226,11 @@ def conversion_closure_residuals(literal: bool = False):
     dw = {f"w{j}": cartan_maurer_d(j, literal=literal) for j in range(4)}
     out = []
     for aid in A:
-        acc = NCPoly.zero(u)
+        acc = {}
         for wid, bid, sgn in _DA_ROWS[aid]:
             term = dw[wid] * NCPoly.letter(bid, u) - NCPoly.letter(wid, u) * rows[bid]
-            acc = acc + rat(sgn) * term
-        out.append((aid, cm.normal_form(acc)))
+            add_scaled(acc, term.terms, rat(sgn))
+        out.append((aid, cm.normal_form(NCPoly._of(settle(acc), u))))
     return out
 
 
@@ -335,13 +332,13 @@ def verify_omega_bar_identity(candidate: str) -> NCPoly:
             e[j] = NCPoly.letter(f"e{j}", u)
         astar = {k: _STAR_IMAGES[g] for k, g in enumerate(A)}
         sign = {k: rat(1 if k == 0 else -1) for k in range(4)}
-        omega = NCPoly.zero(u)
+        omega, dhstar = {}, {}
         for k in range(4):
             for l in range(4):
-                omega = omega + sign[l] * (da[k] * e[k] * e[l] * astar[l])
-        dhstar = NCPoly.zero(u)
+                add_scaled(omega, (da[k] * e[k] * e[l] * astar[l]).terms, sign[l])
         for l in range(4):
-            dhstar = dhstar + sign[l] * (e[l] * differential(astar[l], ext))
+            add_scaled(dhstar, (e[l] * differential(astar[l], ext)).terms, sign[l])
+        omega, dhstar = NCPoly._of(settle(omega), u), NCPoly._of(settle(dhstar), u)
         h = sum((a[k] * e[k] for k in range(4)), NCPoly.zero(u))
         forms = omega_forms()
         wexp = {k: NCPoly(dict(v.terms), u) for k, v in forms.items()}

@@ -13,8 +13,8 @@ import functools
 import operator
 
 from .algebra import NCPoly, Presentation, _render_word, substitute
-from .scalar import (LaurentScalar, add_scaled, add_term, convolve, render_signed_sum,
-                     settle)
+from .scalar import (LaurentScalar, add_scaled, add_term, convolve, eval_terms,
+                     render_signed_sum, settle)
 from .calculus import _STAR_IMAGES, star, star_table
 from .presentations import A, C, L, ONE, get_presentation, norm_poly, rat
 
@@ -54,12 +54,26 @@ class TensorPoly:
         self.legs = legs
 
     @staticmethod
+    def _of(terms: dict, legs: int) -> "TensorPoly":
+        """Wrap a map that is already canonical, like NCPoly._of: each key
+        a tuple of one tuple word per leg, each value a nonzero
+        LaurentScalar.  The map is stored, not copied.  The results of
+        tensor, normal_form, map_leg and the ring operations are built
+        here; __init__ canonicalises a map that comes from a caller
+        (coproduct's input, contract_leg's scalar_fn values) and a product
+        with a scalar, which drops every term when the scalar is zero."""
+        t = object.__new__(TensorPoly)
+        t.terms = terms
+        t.legs = legs
+        return t
+
+    @staticmethod
     def zero(legs=2) -> "TensorPoly":
-        return TensorPoly({}, legs)
+        return TensorPoly._of({}, legs)
 
     @staticmethod
     def unit(legs=2) -> "TensorPoly":
-        return TensorPoly({tuple(() for _ in range(legs)): LaurentScalar.one()}, legs)
+        return TensorPoly._of({((),) * legs: LaurentScalar.one()}, legs)
 
     def _check(self, other):
         if self.legs != other.legs:
@@ -72,10 +86,10 @@ class TensorPoly:
         terms = dict(self.terms)
         for k, c in other.terms.items():
             add_term(terms, k, c)
-        return TensorPoly(terms, self.legs)
+        return TensorPoly._of(terms, self.legs)
 
     def __neg__(self) -> "TensorPoly":
-        return TensorPoly({k: -c for k, c in self.terms.items()}, self.legs)
+        return TensorPoly._of({k: -c for k, c in self.terms.items()}, self.legs)
 
     def __sub__(self, other) -> "TensorPoly":
         if not isinstance(other, TensorPoly):
@@ -87,7 +101,7 @@ class TensorPoly:
             c = LaurentScalar.coerce(other)
             return TensorPoly({k: v * c for k, v in self.terms.items()}, self.legs)
         self._check(other)
-        return TensorPoly(convolve(self.terms, other.terms, _join_legs), self.legs)
+        return TensorPoly._of(convolve(self.terms, other.terms, _join_legs), self.legs)
 
     def __rmul__(self, other) -> "TensorPoly":
         return self * other
@@ -103,10 +117,11 @@ class TensorPoly:
     def normal_form(self, pres: Presentation) -> "TensorPoly":
         """Reduce every leg independently, each distinct leg word once.
 
-        The product of the leg normal forms is built leg by leg; the last
-        leg is added into the result scaled by each partial product, one
-        add_scaled sum settled at the end.  Tensor coefficients are
-        reduced at generic q only, never at pres.q."""
+        A specialized presentation evaluates every coefficient at its q
+        first, as Presentation.normal_form does, so the result is a value
+        at that q.  The product of the leg normal forms is built leg by
+        leg; the last leg is added into the result scaled by each partial
+        product, one add_scaled sum settled at the end."""
         leg_nf = {}
 
         def nf(w):
@@ -115,8 +130,9 @@ class TensorPoly:
                 terms = leg_nf[w] = pres.normal_form(NCPoly.word(w)).terms
             return terms
 
+        terms = self.terms if pres.q is None else eval_terms(self.terms, pres.q)
         out = {}
-        for key, c in self.terms.items():
+        for key, c in terms.items():
             if not key:  # no legs: the one key is ()
                 out[key] = c
                 continue
@@ -126,7 +142,7 @@ class TensorPoly:
             last = nf(key[-1])
             for head, h in heads.items():
                 add_scaled(out, last, h, functools.partial(_append, head))
-        return TensorPoly(settle(out), self.legs)
+        return TensorPoly._of(settle(out), self.legs)
 
     def map_leg(self, idx: int, images: dict, image_legs: int,
                 pres: Presentation) -> "TensorPoly":
@@ -134,17 +150,19 @@ class TensorPoly:
 
         Each word's image is folded one letter at a time and every leg of
         it reduced in pres after each letter, which keeps it small; the
-        other legs are kept as they are.  The term's coefficient scales
-        the image only as it is added in, which linearity allows.
+        other legs are kept as they are.  The term's coefficient, taken
+        at pres.q as normal_form takes it, scales the image only as it is
+        added in, which linearity allows.
         """
+        terms = self.terms if pres.q is None else eval_terms(self.terms, pres.q)
         out = {}
-        for key, c in self.terms.items():
+        for key, c in terms.items():
             img = TensorPoly.unit(image_legs)
             for gid in key[idx]:
                 img = (img * images[gid]).normal_form(pres)
             head, tail = key[:idx], key[idx + 1:]
             add_scaled(out, img.terms, c, lambda k2: head + k2 + tail)
-        return TensorPoly(settle(out), self.legs - 1 + image_legs)
+        return TensorPoly._of(settle(out), self.legs - 1 + image_legs)
 
     def contract_leg(self, idx: int, scalar_fn) -> "TensorPoly":
         """Apply a scalar-valued homomorphism to one leg."""
@@ -177,15 +195,10 @@ class TensorPoly:
 
 def tensor(*factors: NCPoly) -> TensorPoly:
     """Tensor product of plain polynomials, one per leg."""
-    legs = len(factors)
-    out = TensorPoly.unit(legs)
-    for idx, f in enumerate(factors):
-        step = TensorPoly.zero(legs)
-        for w, c in f.terms.items():
-            key = tuple(w if j == idx else () for j in range(legs))
-            step.terms[key] = c
-        out = out * step
-    return out
+    terms = {(): LaurentScalar.one()}
+    for f in factors:
+        terms = convolve(terms, f.terms, _append)
+    return TensorPoly._of(terms, len(factors))
 
 
 @functools.cache
@@ -336,14 +349,14 @@ def verify_hopf_axioms():
         record(f"counit.left.{gid}", delta.contract_leg(0, counit).as_poly() - g)
         record(f"counit.right.{gid}", delta.contract_leg(1, counit).as_poly() - g)
         for side in ("left", "right"):
-            acc = NCPoly.zero(loc.name)
+            acc = {}
             for (u, v), c in delta.terms.items():
                 if side == "left":
                     part = antipode(NCPoly.word(u)) * NCPoly.word(v, universe=loc.name)
                 else:
                     part = NCPoly.word(u, universe=loc.name) * antipode(NCPoly.word(v))
-                acc = acc + part * c
-            acc = reduce_norm_factors(acc)
+                add_scaled(acc, part.terms, c)
+            acc = reduce_norm_factors(NCPoly._of(settle(acc), loc.name))
             target = NCPoly.scalar(counit(g), loc.name)
             record(f"antipode.{side}.{gid}", acc - target)
         record(f"norm.central.{gid}", hq.normal_form(n * g - g * n))

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebra import (Generator, NCPoly, Presentation, PresentationError,
                       substitute)
-from .scalar import LaurentScalar
+from .scalar import LaurentScalar, add_term
 
 # -- scalar shorthands -------------------------------------------------
 
@@ -112,14 +112,10 @@ def _unit_rules():
     entries = []
     for k in (1, 2, 3):
         for l in (1, 2, 3):
-            rhs = NCPoly.zero()
-            if k == l:
-                rhs = rhs - NCPoly.unit()
+            rhs = {(): -1} if k == l else {}
             for m in (1, 2, 3):
-                eps = _epsilon(k, l, m)
-                if eps:
-                    rhs = rhs + NCPoly.word((f"e{m}",), eps)
-            entries.append(((f"e{k}", f"e{l}"), rhs))
+                rhs[(f"e{m}",)] = _epsilon(k, l, m)
+            entries.append(((f"e{k}", f"e{l}"), NCPoly(rhs)))
     return entries
 
 
@@ -501,7 +497,7 @@ def leibniz_expansion(p: NCPoly, pres: Presentation) -> NCPoly:
     Grade-0 coordinate letters map to their differential letter, which
     pres must have; constant letters and grade-1 letters are annihilated.
     """
-    out = NCPoly.zero(p.universe)
+    out = {}
     for w, c in p.terms.items():
         prefix_grade = 0
         for j, letter in enumerate(w):
@@ -510,10 +506,9 @@ def leibniz_expansion(p: NCPoly, pres: Presentation) -> NCPoly:
                 dletter = "d" + letter
                 pres.generator(dletter)  # the universe must have it
                 term = w[:j] + (dletter,) + w[j + 1:]
-                sign = ONE if prefix_grade % 2 == 0 else -ONE
-                out = out + NCPoly.word(term, sign * c, p.universe)
+                add_term(out, term, -c if prefix_grade % 2 else c)
             prefix_grade += grade
-    return out
+    return NCPoly._of(out, p.universe)
 
 
 def leibniz_consistency_check(dga: Presentation):

@@ -16,9 +16,9 @@ out such constants, whose re and im give the Fraction parts.
 GaussRational(re, im) survives only as a constructor of them: no value
 is an instance of it.
 
-add_term, add_scaled, settle and convolve are the sparse-map core shared
-by every layer: an NCPoly maps words to LaurentScalars and a TensorPoly
-maps tuples of words to LaurentScalars.  add_term adds one value and
+add_term, add_scaled, settle, convolve and eval_terms are the sparse-map
+core shared by every layer: an NCPoly maps words to LaurentScalars and a
+TensorPoly maps tuples of words to LaurentScalars.  add_term adds one value and
 keeps the map canonical after every step; add_scaled adds a whole map
 times a coefficient, acc[k] += v*c, and is how every sum of products
 accumulates (a normal form, a polynomial or tensor product, a vector
@@ -29,20 +29,19 @@ denominator, and further products add into it as integers, with no gcd
 and no new object.  settle(acc) makes only those keys canonical, in
 place, once per sum, and drops the ones that cancelled: a coefficient
 becomes canonical when its sum is settled, not after every term.
-convolve, the product of two such maps, accumulates the same way.
+convolve, the product of two such maps, is one add_scaled per term of
+its left factor.
+eval_terms takes every value of a map at one q, as a specialized
+presentation reduces.
 
-A product picks one of five paths by the shape of its factors: a factor
-equal to 1 hands back the other factor itself; two constants, the only
-coefficients at a specialized q, multiply as Gaussian rationals in one
-step (_constant_product), as two constants add in one; a one-term factor
-r*q^n or i*r*q^n shifts and scales the other (_times_monomial); two
-factors that are each purely real or purely imaginary need one integer
-convolution (_convolve_ints); only a factor with both parts takes the
-general product, added into an empty raw sum by the integer loop of
-add_scaled (_add_product).  One factor is tested for being constant
-only once the other is known to be a one-term constant, or just before
-the general product, so the other paths pay nothing for the constant
-path.
+A product picks one of three paths by the shape of its factors: a
+factor equal to 1 hands back the other factor itself; two constants,
+the only coefficients at a specialized q, multiply as Gaussian rationals
+in one step (_constant_product), as two constants add in one; any other
+product is added into an empty raw sum by the integer loop of add_scaled
+(_add_product).  Sums use the same kernel: any sum but one of two
+constants copies the first summand into a raw sum, adds the second times
+1 into it and settles it.
 
 Handing back a factor is safe because a LaurentScalar is immutable:
 nothing writes to _re or _im after _canonical or __init__ builds them,
@@ -120,21 +119,31 @@ def convolve(left: dict, right: dict, join) -> dict:
     """Product of two sparse maps of LaurentScalars: keys combine by join,
     values multiply.
 
-    Accumulates as add_scaled does, inline, and settles: no zero is stored.
+    One add_scaled per left term, then settle: no zero is stored.
     """
-    out, raw = {}, False
+    out = {}
     for k1, v1 in left.items():
-        for k2, v2 in right.items():
-            k = join(k1, k2)
-            old = out.get(k)
-            if old is None:
-                out[k] = v1 * v2
-            else:
-                if old.__class__ is not list:
-                    old = out[k] = _raw(old)
-                    raw = True
-                _add_product(old, v1, v2)
-    return settle(out) if raw else out
+        add_scaled(out, right, v1, lambda k2: join(k1, k2))
+    return settle(out)
+
+
+def eval_terms(terms: dict, q0) -> dict:
+    """terms with every value taken at q = q0, zeros dropped.
+
+    A map of constants only is its own value: terms itself comes back.
+    """
+    p, r = q_ratio(q0)
+    for c in terms.values():
+        if not c._is_constant():
+            break
+    else:
+        return terms
+    out = {}
+    for k, c in terms.items():
+        v = c.value_at(p, r)
+        if v:
+            out[k] = v
+    return out
 
 
 def q_ratio(q0) -> tuple[int, int]:
@@ -194,32 +203,6 @@ def _constant_product(x: "LaurentScalar", y: "LaurentScalar") -> "LaurentScalar"
     return _constant(a * c - b * d, a * d + b * c, x._den * y._den)
 
 
-def _absorb(acc: dict, terms: dict) -> dict:
-    """acc += terms in place; returns acc."""
-    for n, v in terms.items():
-        add_term(acc, n, v)
-    return acc
-
-
-def _scaled(terms: dict, k: int) -> dict:
-    """k*terms as a new map."""
-    return {n: v * k for n, v in terms.items()}
-
-
-def _convolve_ints(left: dict, right: dict) -> dict:
-    """Product of two numerator maps, exponent -> int; no zero stored."""
-    out = {}
-    for n1, v1 in left.items():
-        for n2, v2 in right.items():
-            n = n1 + n2
-            v = out.get(n, 0) + v1 * v2
-            if v:
-                out[n] = v
-            else:
-                del out[n]
-    return out
-
-
 def _add_product(s: list, x: "LaurentScalar", y: "LaurentScalar") -> None:
     """s += x*y for a raw sum s = [re, im, den], in integers.
 
@@ -268,20 +251,6 @@ def _from_sum(s: list) -> "LaurentScalar":
     if 0 in im.values():
         im = {n: v for n, v in im.items() if v}
     return _canonical(re, im, den)
-
-
-def _times_monomial(x: "LaurentScalar", m: "LaurentScalar") -> "LaurentScalar":
-    """x*m for m = r*q^n or i*r*q^n: shift x's exponents by n, scale by r."""
-    if m._re:
-        (n, r), = m._re.items()
-        re = {e + n: v * r for e, v in x._re.items()}
-        im = {e + n: v * r for e, v in x._im.items()}
-    else:
-        # (a + ib)*(i*r) = -b*r + i*a*r
-        (n, r), = m._im.items()
-        re = {e + n: -v * r for e, v in x._im.items()}
-        im = {e + n: v * r for e, v in x._re.items()}
-    return _canonical(re, im, x._den * m._den)
 
 
 class LaurentScalar:
@@ -361,10 +330,9 @@ class LaurentScalar:
             if d1 == d2:
                 return _constant(a + c, b + d, d1)
             return _constant(a * d2 + c * d1, b * d2 + d * d1, d1 * d2)
-        if d1 == d2:
-            return _canonical(_absorb(dict(a), c), _absorb(dict(b), d), d1)
-        return _canonical(_absorb(_scaled(a, d2), _scaled(c, d1)),
-                          _absorb(_scaled(b, d2), _scaled(d, d1)), d1 * d2)
+        s = _raw(self)
+        _add_product(s, other, _ONE)
+        return _from_sum(s)
 
     __radd__ = __add__
 
@@ -382,33 +350,17 @@ class LaurentScalar:
                 return NotImplemented
             other = LaurentScalar.coerce(other)
         a, b, c, d = self._re, self._im, other._re, other._im
-        # Five paths by the shape of the factors (see the module
+        # Three paths by the shape of the factors (see the module
         # docstring).  Handing back a factor is safe because nothing
         # mutates _re or _im once _canonical has built them.
         if c == _UNIT and other._den == 1 and not d:
             return self
         if a == _UNIT and self._den == 1 and not b:
             return other
-        if len(c) + len(d) == 1:
-            if (0 in c or 0 in d) and a.keys() <= _AT_0 and b.keys() <= _AT_0:
-                return _constant_product(self, other)
-            return _times_monomial(self, other)
-        if len(a) + len(b) == 1:
-            if (0 in a or 0 in b) and c.keys() <= _AT_0 and d.keys() <= _AT_0:
-                return _constant_product(self, other)
-            return _times_monomial(other, self)
-        den = self._den * other._den
-        if not (a and b or c and d):
-            # Each factor purely real or purely imaginary (or zero).
-            prod = _convolve_ints(a or b, c or d)
-            if not (b or d):
-                return _canonical(prod, {}, den)
-            if not (a or c):
-                return _canonical(_scaled(prod, -1), {}, den)
-            return _canonical({}, prod, den)
-        if self._is_constant() and other._is_constant():
+        if (a.keys() <= _AT_0 and b.keys() <= _AT_0
+                and c.keys() <= _AT_0 and d.keys() <= _AT_0):
             return _constant_product(self, other)
-        s = [{}, {}, den]
+        s = [{}, {}, self._den * other._den]
         _add_product(s, self, other)
         return _from_sum(s)
 
@@ -561,6 +513,10 @@ class LaurentScalar:
 
     def __repr__(self) -> str:
         return f"LaurentScalar({self.render()!r})"
+
+
+# The constant 1, the second factor of a sum's one product (__add__).
+_ONE = LaurentScalar.one()
 
 
 class GaussRational:

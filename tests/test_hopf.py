@@ -1,14 +1,21 @@
+import itertools
+import random
+from fractions import Fraction
+from math import gcd
+
 import pytest
 
 from qcalc import (
     LaurentScalar,
     NCPoly,
     get_presentation,
+    parse,
     render_poly,
 )
 from qcalc.hopf import (
     TensorPoly,
     _antipode_images,
+    _coproduct_images,
     antipode,
     antipode_square,
     coproduct,
@@ -25,18 +32,82 @@ def letter(gid):
     return NCPoly.letter(gid, "hq")
 
 
+def assert_canonical(t):
+    """Each key is a tuple of one tuple word per leg, each coefficient a
+    nonzero canonical LaurentScalar."""
+    for key, c in t.terms.items():
+        assert type(key) is tuple and len(key) == t.legs, key
+        assert all(type(w) is tuple for w in key), key
+        assert type(c) is LaurentScalar and c, (key, c)
+        numerators = [*c._re.values(), *c._im.values()]
+        assert c._den > 0 and all(numerators)
+        assert gcd(c._den, *numerators) == 1
+    return t
+
+
+def random_poly(rng, size=3):
+    """A seeded polynomial in hq's letters with small Laurent coefficients."""
+    terms = {}
+    for _ in range(rng.randint(0, size)):
+        w = tuple(rng.choice(A) for _ in range(rng.randint(0, 2)))
+        c = (LaurentScalar.q_power(rng.randint(-1, 1)) * rng.randint(-3, 3)
+             + LaurentScalar.i_unit() * rng.choice((0, 1, -2)))
+        terms[w] = c
+    return NCPoly(terms, "hq")
+
+
 def test_tensor_construction_and_arithmetic():
-    t = tensor(letter("a0"), letter("a1"))
+    t = assert_canonical(tensor(letter("a0"), letter("a1")))
     assert t == tensor(letter("a0"), letter("a1"))
-    assert t + t == 2 * t
-    assert t - t == TensorPoly.zero()
+    assert assert_canonical(t + t) == 2 * t
+    assert assert_canonical(t - t) == TensorPoly.zero()
     assert not (t - t)
-    u = TensorPoly.unit()
-    assert t * u == t
+    assert assert_canonical(-t) == (-1) * t
+    u = assert_canonical(TensorPoly.unit())
+    assert assert_canonical(t * u) == t
     s = tensor(letter("a2"), letter("a3"))
-    prod = t * s
+    prod = assert_canonical(t * s)
     assert prod == tensor(letter("a0") * letter("a2"),
                           letter("a1") * letter("a3"))
+    mixed = assert_canonical(t + s - prod)
+    assert len(mixed.terms) == 3
+
+
+@pytest.mark.parametrize("legs", range(4))
+def test_tensor_of_seeded_factors_is_the_legwise_product(legs):
+    rng = random.Random(20031 + legs)
+    for _ in range(20):
+        factors = [random_poly(rng) for _ in range(legs)]
+        want = {}
+        for picks in itertools.product(*(f.terms.items() for f in factors)):
+            c = LaurentScalar.one()
+            for _, v in picks:
+                c = c * v
+            want[tuple(w for w, _ in picks)] = c
+        got = assert_canonical(tensor(*factors))
+        assert got.legs == legs
+        assert got.terms == want
+        assert list(got.terms) == list(want)
+
+
+class Pairs(list):
+    """(key, coefficient) pairs read through items(), as TensorPoly reads a
+    map: the keys may be unhashable lists of lists."""
+
+    def items(self):
+        return self
+
+
+def test_tensor_constructor_canonicalises_a_callers_map():
+    t = TensorPoly(Pairs([([["a0"], ["a1", "a2"]], 2), ([[], ["a3"]], 0),
+                          ((("a1",), ()), LaurentScalar.q_power(1))]))
+    assert assert_canonical(t).terms == {
+        (("a0",), ("a1", "a2")): LaurentScalar.coerce(2),
+        (("a1",), ()): LaurentScalar.q_power(1)}
+    for zero in (t * 0, 0 * t, t * LaurentScalar.zero()):
+        assert zero == TensorPoly.zero() and not zero.terms
+    assert assert_canonical(t * LaurentScalar.i_unit()) == TensorPoly(
+        {k: c * LaurentScalar.i_unit() for k, c in t.terms.items()})
 
 
 def test_tensor_sum_with_a_non_tensor_is_a_type_error():
@@ -58,8 +129,36 @@ def test_tensor_leg_count_is_enforced():
 def test_tensor_normal_form_acts_legwise():
     hq = get_presentation("hq")
     t = tensor(letter("a2") * letter("a3"), letter("a0"))
-    nf = t.normal_form(hq)
+    nf = assert_canonical(t.normal_form(hq))
     assert nf == tensor(letter("a3") * letter("a2"), letter("a0"))
+    rng = random.Random(20037)
+    for _ in range(10):
+        t = tensor(random_poly(rng), random_poly(rng))
+        assert_canonical(t.normal_form(hq))
+        assert_canonical(t.map_leg(1, _coproduct_images(), 2, hq))
+
+
+@pytest.mark.parametrize("q0", (2, Fraction(2, 3)))
+def test_tensor_reduced_at_a_specialised_q_is_a_value_at_that_q(q0):
+    hq = get_presentation("hq")
+    at = specialize(hq, q0)
+    assert coproduct(parse("q*a0", hq), at) == coproduct(parse("a0", hq), at) * q0
+    if q0 == 2:
+        assert coproduct(parse("q*a0", hq), at).render(at) == (
+            "-(2)*a3 (x) a3 - (2)*a2 (x) a2 - (2)*a1 (x) a1 + (2)*a0 (x) a0")
+    # reducing is linear, so it commutes with evaluating at q0
+    rng = random.Random(20039)
+    images = _coproduct_images()
+    for _ in range(10):
+        t = tensor(random_poly(rng), random_poly(rng))
+        for reduce in (lambda pres: t.normal_form(pres),
+                       lambda pres: t.map_leg(0, images, 2, pres)):
+            got, generic = assert_canonical(reduce(at)), reduce(hq)
+            assert got.terms == {k: v for k, c in generic.terms.items()
+                                 if (v := c.eval_at(q0))}
+    # q - 2 vanishes at q = 2: the term is dropped, not kept as zero
+    t = tensor(parse("(q - 2)*a0 + a1", hq), letter("a2"))
+    assert t.normal_form(specialize(hq, 2)) == tensor(letter("a1"), letter("a2"))
 
 
 def test_tensor_normal_form_of_no_legs_is_the_scalar():

@@ -209,6 +209,16 @@ def assert_matches(x, ref):
     assert bool(x) == bool(ref)
 
 
+def assert_sums_match(a, ra, b, rb):
+    """a + b, a - b and b - a against the model; returns how many of the
+    three cancel exactly to 0."""
+    sums = ((a + b, ref_add(ra, rb)), (a - b, ref_add(ra, ref_neg(rb))),
+            (b - a, ref_add(rb, ref_neg(ra))))
+    for x, want in sums:
+        assert_matches(x, want)
+    return sum(not want for _, want in sums)
+
+
 # -- tests -------------------------------------------------------------
 
 
@@ -231,21 +241,32 @@ def test_products_with_a_one_term_operand_match_the_fraction_model():
     one_term = sum(1 for ra, _, rb, _ in draws
                    if len(ra) == 1 or len(rb) == 1)
     assert 3 * one_term >= len(draws)
+    mixed = 0
     for ra, a, rb, b in draws:
         want = ref_mul(ra, rb)
         assert_matches(a * b, want)
         assert_matches(b * a, want)
+        assert_sums_match(a, ra, b, rb)
+        # a + (-a) cancels exactly; a - (-a) and -a - a double a, so
+        # they cancel too only when a is 0
+        assert assert_sums_match(a, ra, -to_scalar(ra), ref_neg(ra)) == (1 if ra else 3)
+        mixed += to_scalar(ra)._den != b._den
+    assert mixed
 
 
 def test_products_by_factor_shape_match_the_fraction_model():
     draws = shaped_pairs()
     seen = {(sa, sb) for sa, _, sb, _ in draws}
     assert len(seen) == len(SHAPES) ** 2
+    cancelled = mixed = 0
     for _, ra, _, rb in draws:
         a, b = to_scalar(ra), to_scalar(rb)
         want = ref_mul(ra, rb)
         assert_matches(a * b, want)
         assert_matches(b * a, want)
+        cancelled += assert_sums_match(a, ra, b, rb)
+        mixed += a._den != b._den
+    assert cancelled and mixed
 
 
 @pytest.mark.parametrize("shape", SHAPES)
