@@ -7,6 +7,7 @@ from qcalc import (
     NCPoly,
     antipode,
     antipode_square,
+    convolution,
     coproduct,
     counit,
     get_presentation,
@@ -47,11 +48,9 @@ def main():
     for g in ("a0", "a1"):
         print(f"    S({g}) = {render_poly(antipode(parse(g, loc)), loc)}")
     for gid in ("a0", "a1"):
-        acc = NCPoly.zero(loc.name)
-        for (u, v), c in coproduct(parse(gid, hq)).terms.items():
-            acc = acc + antipode(NCPoly.word(u)) * NCPoly.word(v, universe=loc.name) * c
+        acc = convolution(lambda u: antipode(NCPoly.word(u)), NCPoly.word, parse(gid, hq))
         print(f"  convolution m(S (x) id)(coproduct({gid})) = "
-              f"{render_poly(reduce_norm_factors(loc.normal_form(acc)), loc)}"
+              f"{render_poly(reduce_norm_factors(acc), loc)}"
               f"   (= counit({gid}) * 1)")
     print("  S*S is not the identity at generic q; it rotates the imaginary pair:")
     for g in ("a0", "a2", "a3"):

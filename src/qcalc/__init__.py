@@ -65,7 +65,6 @@ _LAZY_NAMES = {
         "differential",
         "extract_vector_fields",
         "nilpotency_residuals",
-        "norm_differential",
         "omega_forms",
         "one_form_consistency_residuals",
         "recover_differentials_on_unit_sphere",
@@ -81,6 +80,7 @@ _LAZY_NAMES = {
         "TensorPoly",
         "antipode",
         "antipode_square",
+        "convolution",
         "coproduct",
         "counit",
         "reduce_norm_factors",

@@ -144,12 +144,6 @@ class NCPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def map_coeffs(self, fn) -> "NCPoly":
-        return NCPoly({w: fn(c) for w, c in self.terms.items()}, self.universe)
-
-    def conj_coeffs(self) -> "NCPoly":
-        return self.map_coeffs(lambda c: c.conj())
-
     def eval_at(self, q0) -> "NCPoly":
         """Specialize all coefficients at a nonzero rational q value.
 
@@ -269,6 +263,11 @@ class Presentation:
             return grades.pop()
         return "mixed"
 
+    def relations(self):
+        """(lhs, lhs - rhs) for every rule, in sorted lhs order."""
+        for lhs in sorted(self.rules):
+            yield lhs, NCPoly.word(lhs) - self.rules[lhs]
+
     def is_degree_homogeneous(self) -> bool:
         """True when every rule rewrites length 2 to length 2."""
         return all(
@@ -371,9 +370,6 @@ class Presentation:
         keep = self._nf_values.setdefault
         return cache.setdefault(keep(word, word),
                                 {keep(w, w): keep(c, c) for w, c in settle(acc).items()})
-
-    def nc_equal(self, p: NCPoly, r: NCPoly) -> bool:
-        return not self.normal_form(p - r).terms
 
     def is_normal(self, p: NCPoly) -> bool:
         return all(self._first_redex(w) is None for w in p.terms)

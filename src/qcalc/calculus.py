@@ -48,7 +48,6 @@ __all__ = [
     "differential",
     "extract_vector_fields",
     "nilpotency_residuals",
-    "norm_differential",
     "omega_forms",
     "one_form_consistency_residuals",
     "recover_differentials_on_unit_sphere",
@@ -217,21 +216,14 @@ def cartan_maurer_d(k: int, literal: bool = False) -> NCPoly:
 def conversion_closure_residuals(literal: bool = False):
     """Apply d to each frame expansion of da_k; residuals must vanish.
 
-    Uses graded Leibniz, the two-form table for dw, and the frame
-    expansion again for the inner da.
+    The graded Leibniz expansion takes d(w_j) from the two-form table
+    and d(a_l) from the frame expansion again.
     """
     cm = get_presentation("cartan_maurer")
-    u = cm.name
     rows = da_from_w()
-    dw = {f"w{j}": cartan_maurer_d(j, literal=literal) for j in range(4)}
-    out = []
-    for aid in A:
-        acc = {}
-        for wid, bid, sgn in _DA_ROWS[aid]:
-            term = dw[wid] * NCPoly.letter(bid, u) - NCPoly.letter(wid, u) * rows[bid]
-            add_scaled(acc, term.terms, rat(sgn))
-        out.append((aid, cm.normal_form(NCPoly._of(settle(acc), u))))
-    return out
+    images = {**rows, **{f"w{j}": cartan_maurer_d(j, literal=literal) for j in range(4)}}
+    return [(aid, cm.normal_form(leibniz_expansion(rows[aid], cm, images)))
+            for aid in A]
 
 
 def one_form_consistency_residuals():
@@ -244,11 +236,7 @@ def one_form_consistency_residuals():
     cm = get_presentation("cartan_maurer")
     dga = get_presentation("dga")
     images = omega_forms()
-    out = []
-    for lhs in sorted(cm.rules):
-        rel = NCPoly.word(lhs) - cm.rules[lhs]
-        out.append((lhs, substitute(rel, images, dga)))
-    return out
+    return [(lhs, substitute(rel, images, dga)) for lhs, rel in cm.relations()]
 
 
 def verify_d_star(k: int) -> NCPoly:
@@ -274,15 +262,19 @@ def unit_norm_extension(name: str = "units_dga",
     eliminating a chosen differential-coordinate word via the vanishing
     norm differential.  The second rewrite can intercept words the first
     would assemble, so checks needing only the norm itself should turn
-    it off.
+    it off; the universe without it is then named apart, with a _no_dN
+    suffix, so the normal forms of the two do not mix.
     """
     base = get_presentation(name)
     rules = dict(base.rules)
     a = [NCPoly.letter(g) for g in A]
     sphere = NCPoly.scalar(ONE) - a[1] * a[1] - C * (a[2] * a[2] + a[3] * a[3])
     rules[("a0", "a0")] = sphere
+    name = base.name + "+unit_norm"
     has_da = all(any(g.id == d for g in base.generators) for d in DA)
-    if has_da and with_norm_differential:
+    if has_da and not with_norm_differential:
+        name += "_no_dN"
+    elif has_da:
         dn = differential(norm_poly(), base)
         pivot = ("da2", "a2")
         c = dn.terms.get(pivot)
@@ -294,7 +286,7 @@ def unit_norm_extension(name: str = "units_dga",
                 f"coefficient in dN, {c or 0}, does not divide every other one")
         rules[pivot] = NCPoly({w: -quo for w, quo in quotients.items()})
     return Presentation(
-        base.name + "+unit_norm",
+        name,
         list(base.generators),
         rules,
         "unit-norm quotient of " + base.name,
@@ -323,34 +315,20 @@ def verify_omega_bar_identity(candidate: str) -> NCPoly:
         rhs = (ONE - qp(-2)) * (w["w0"] + I * w["w1"])
         return ucm.normal_form(omega + bar - rhs)
     if candidate == "h-dhstar":
+        # omega = dh h* and the bar form h d(h*) sum to d(h h*) term by
+        # term before any reduction: each d(a*_l) is a sum of single
+        # letters, which no rule rewrites
         ext = unit_norm_extension("units_dga")
         u = ext.name
-        a = {k: NCPoly.letter(g, u) for k, g in enumerate(A)}
-        da = {k: NCPoly.letter(g, u) for k, g in enumerate(DA)}
-        e = {0: NCPoly.scalar(ONE, u)}
-        for j in (1, 2, 3):
-            e[j] = NCPoly.letter(f"e{j}", u)
-        astar = {k: _STAR_IMAGES[g] for k, g in enumerate(A)}
-        sign = {k: rat(1 if k == 0 else -1) for k in range(4)}
-        omega, dhstar = {}, {}
-        for k in range(4):
-            for l in range(4):
-                add_scaled(omega, (da[k] * e[k] * e[l] * astar[l]).terms, sign[l])
-        for l in range(4):
-            add_scaled(dhstar, (e[l] * differential(astar[l], ext)).terms, sign[l])
-        omega, dhstar = NCPoly._of(settle(omega), u), NCPoly._of(settle(dhstar), u)
-        h = sum((a[k] * e[k] for k in range(4)), NCPoly.zero(u))
+        e = [NCPoly.scalar(ONE, u)] + [NCPoly.letter(g, u) for g in E]
+        h = sum((NCPoly.letter(g, u) * e[k] for k, g in enumerate(A)), NCPoly.zero(u))
+        hstar = sum((rat(1 if k == 0 else -1) * e[k] * _STAR_IMAGES[g]
+                    for k, g in enumerate(A)), NCPoly.zero(u))
         forms = omega_forms()
         wexp = {k: NCPoly(dict(v.terms), u) for k, v in forms.items()}
         rhs = (ONE - qp(-2)) * (wexp["w0"] + I * wexp["w1"])
-        return ext.normal_form(omega + h * dhstar - rhs)
+        return ext.normal_form(leibniz_expansion(h * hstar, ext) - rhs)
     raise ValueError(f"unknown candidate {candidate!r}; expected one of {OMEGA_BAR_CANDIDATES}")
-
-
-def norm_differential() -> NCPoly:
-    """d applied to the central norm, in the differential algebra."""
-    dga = get_presentation("dga")
-    return differential(NCPoly(dict(norm_poly().terms), dga.name), dga)
 
 
 def recover_differentials_on_unit_sphere() -> list:

@@ -6,13 +6,15 @@ checks every structural claim and reports residuals.
 
 The coproduct is TensorPoly.map_leg of its constant, cached generator
 images; the antipode is algebra.substitute of its own cached images over
-reversed words.
+reversed words.  The convolution f⋆g = m∘(f⊗g)∘Δ of two linear maps
+takes each term c·u⊗v of the coproduct to c·f(u)·g(v); the counit
+axioms read ε⋆id = id = id⋆ε and the antipode axioms S⋆id = ε·1 = id⋆S.
 """
 
 import functools
 import operator
 
-from .algebra import NCPoly, Presentation, _render_word, substitute
+from .algebra import NCPoly, Presentation, _joint_universe, _render_word, substitute
 from .scalar import (LaurentScalar, add_scaled, add_term, convolve, eval_terms,
                      render_signed_sum, settle)
 from .calculus import _STAR_IMAGES, star, star_table
@@ -22,6 +24,7 @@ __all__ = [
     "TensorPoly",
     "antipode",
     "antipode_square",
+    "convolution",
     "coproduct",
     "counit",
     "reduce_norm_factors",
@@ -60,8 +63,8 @@ class TensorPoly:
         LaurentScalar.  The map is stored, not copied.  The results of
         tensor, normal_form, map_leg and the ring operations are built
         here; __init__ canonicalises a map that comes from a caller
-        (coproduct's input, contract_leg's scalar_fn values) and a product
-        with a scalar, which drops every term when the scalar is zero."""
+        (coproduct's input) and a product with a scalar, which drops
+        every term when the scalar is zero."""
         t = object.__new__(TensorPoly)
         t.terms = terms
         t.legs = legs
@@ -144,16 +147,17 @@ class TensorPoly:
                 add_scaled(out, last, h, functools.partial(_append, head))
         return TensorPoly._of(settle(out), self.legs)
 
-    def map_leg(self, idx: int, images: dict, image_legs: int,
-                pres: Presentation) -> "TensorPoly":
+    def map_leg(self, idx: int, images: dict, pres: Presentation) -> "TensorPoly":
         """Replace leg idx through a homomorphism with TensorPoly letter images.
 
+        The images, all with one leg count, replace the leg by that many.
         Each word's image is folded one letter at a time and every leg of
         it reduced in pres after each letter, which keeps it small; the
         other legs are kept as they are.  The term's coefficient, taken
         at pres.q as normal_form takes it, scales the image only as it is
         added in, which linearity allows.
         """
+        image_legs = next(iter(images.values())).legs
         terms = self.terms if pres.q is None else eval_terms(self.terms, pres.q)
         out = {}
         for key, c in terms.items():
@@ -163,20 +167,6 @@ class TensorPoly:
             head, tail = key[:idx], key[idx + 1:]
             add_scaled(out, img.terms, c, lambda k2: head + k2 + tail)
         return TensorPoly._of(settle(out), self.legs - 1 + image_legs)
-
-    def contract_leg(self, idx: int, scalar_fn) -> "TensorPoly":
-        """Apply a scalar-valued homomorphism to one leg."""
-        out = {}
-        for key, c in self.terms.items():
-            add_term(out, key[:idx] + key[idx + 1:],
-                     scalar_fn(NCPoly.word(key[idx], c)))
-        return TensorPoly(out, self.legs - 1)
-
-    def as_poly(self) -> NCPoly:
-        """Collapse a single-leg tensor back to a plain polynomial."""
-        if self.legs != 1:
-            raise ValueError("only single-leg tensors collapse to polynomials")
-        return NCPoly({k[0]: c for k, c in self.terms.items()})
 
     def render(self, pres: Presentation, unicode_mode=False) -> str:
         # q exponents stay ASCII even under unicode_mode; only words change
@@ -221,7 +211,18 @@ def coproduct(p: NCPoly, pres: Presentation = None) -> TensorPoly:
     (hq by default)."""
     pres = pres or get_presentation("hq")
     lifted = TensorPoly({(w,): c for w, c in p.terms.items()}, 1)
-    return lifted.map_leg(0, _coproduct_images(), 2, pres)
+    return lifted.map_leg(0, _coproduct_images(), pres)
+
+
+def convolution(f, g, p: NCPoly) -> NCPoly:
+    """f⋆g applied to p: the sum of c·f(u)·g(v) over the terms c·u⊗v of
+    coproduct(p), unreduced.  f and g map a word to an NCPoly."""
+    out, universe = {}, None
+    for (u, v), c in coproduct(p).terms.items():
+        part = f(u) * g(v)
+        universe = _joint_universe(universe, part.universe)
+        add_scaled(out, part.terms, c)
+    return NCPoly._of(settle(out), universe)
 
 
 def counit(p: NCPoly) -> LaurentScalar:
@@ -312,11 +313,6 @@ def antipode_square(gid: str) -> NCPoly:
     return antipode(antipode(NCPoly.letter(gid)))
 
 
-def _relation_pairs(pres: Presentation):
-    for lhs in sorted(pres.rules):
-        yield lhs, NCPoly.word(lhs) - pres.rules[lhs]
-
-
 def verify_hopf_axioms():
     """Run every Hopf-structure check; returns records with residuals.
 
@@ -333,32 +329,32 @@ def verify_hopf_axioms():
     def record(check_id, residual, kind="exact"):
         records.append({"id": check_id, "kind": kind, "residual": residual})
 
-    for lhs, rel in _relation_pairs(hq):
+    for lhs, rel in hq.relations():
         suffix = f"relation.{lhs[0]}.{lhs[1]}"
         record(f"coproduct.{suffix}", coproduct(rel))
         eps = counit(NCPoly.word(lhs)) - counit(hq.rules[lhs])
         record(f"counit.{suffix}", NCPoly.scalar(eps, hq.name))
         record(f"star.{suffix}", star(rel, table, hq))
 
+    def counit_of(w):
+        return NCPoly.scalar(counit(NCPoly.word(w)))
+
+    def antipode_of(w):
+        return antipode(NCPoly.word(w))
+
     for gid in A:
         g = NCPoly.letter(gid, hq.name)
         delta = coproduct(g)
-        left3 = delta.map_leg(0, images, 2, hq)
-        right3 = delta.map_leg(1, images, 2, hq)
+        left3 = delta.map_leg(0, images, hq)
+        right3 = delta.map_leg(1, images, hq)
         record(f"coproduct.coassociativity.{gid}", left3 - right3)
-        record(f"counit.left.{gid}", delta.contract_leg(0, counit).as_poly() - g)
-        record(f"counit.right.{gid}", delta.contract_leg(1, counit).as_poly() - g)
-        for side in ("left", "right"):
-            acc = {}
-            for (u, v), c in delta.terms.items():
-                if side == "left":
-                    part = antipode(NCPoly.word(u)) * NCPoly.word(v, universe=loc.name)
-                else:
-                    part = NCPoly.word(u, universe=loc.name) * antipode(NCPoly.word(v))
-                add_scaled(acc, part.terms, c)
-            acc = reduce_norm_factors(NCPoly._of(settle(acc), loc.name))
-            target = NCPoly.scalar(counit(g), loc.name)
-            record(f"antipode.{side}.{gid}", acc - target)
+        record(f"counit.left.{gid}", convolution(counit_of, NCPoly.word, g) - g)
+        record(f"counit.right.{gid}", convolution(NCPoly.word, counit_of, g) - g)
+        target = NCPoly.scalar(counit(g), loc.name)
+        record(f"antipode.left.{gid}",
+               reduce_norm_factors(convolution(antipode_of, NCPoly.word, g)) - target)
+        record(f"antipode.right.{gid}",
+               reduce_norm_factors(convolution(NCPoly.word, antipode_of, g)) - target)
         record(f"norm.central.{gid}", hq.normal_form(n * g - g * n))
         record(f"star.involution.{gid}", star(star(g, table, hq), table, hq) - g)
         record(f"antipode.square.{gid}", antipode_square(gid), "informational")

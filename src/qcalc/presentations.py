@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebra import (Generator, NCPoly, Presentation, PresentationError,
                       substitute)
-from .scalar import LaurentScalar, add_term
+from .scalar import LaurentScalar, add_scaled, settle
 
 # -- scalar shorthands -------------------------------------------------
 
@@ -420,10 +420,13 @@ def specialize(pres: Presentation, q0, name=None) -> Presentation:
     """Evaluate every rule coefficient at a nonzero rational q value.
 
     The result's q is q0, at which its normal_form evaluates each input;
-    a presentation already specialized at another value is refused.
+    a presentation already specialized at q0 is its own specialization,
+    and one specialized at another value is refused.
     """
     q0 = Fraction(q0)
-    if pres.q not in (None, q0):
+    if pres.q == q0:
+        return pres
+    if pres.q is not None:
         raise PresentationError(
             f"{pres.name} is already specialized at q = {pres.q}")
     rules = {lhs: rhs.eval_at(q0) for lhs, rhs in pres.rules.items()}
@@ -491,24 +494,33 @@ def shipped_names() -> list:
 CONSTANT_LETTERS = frozenset(E) | {N_INV}
 
 
-def leibniz_expansion(p: NCPoly, pres: Presentation) -> NCPoly:
+def leibniz_expansion(p: NCPoly, pres: Presentation, images=None) -> NCPoly:
     """Graded Leibniz expansion of d, without the final reduction.
 
-    Grade-0 coordinate letters map to their differential letter, which
-    pres must have; constant letters and grade-1 letters are annihilated.
+    images maps a letter to d of it, an NCPoly whose terms replace the
+    letter in place, signed (-1)^k by the grade k of the letters before
+    it; a letter without an image is annihilated.  By default each
+    grade-0 coordinate letter of p maps to its differential letter,
+    which pres must have, so constant letters and grade-1 letters are
+    annihilated.
     """
+    if images is None:
+        images = {}
+        for letter in dict.fromkeys(x for w in p.terms for x in w):
+            if pres.grade(letter) == 0 and letter not in CONSTANT_LETTERS:
+                pres.generator("d" + letter)  # the universe must have it
+                images[letter] = NCPoly.letter("d" + letter)
     out = {}
     for w, c in p.terms.items():
         prefix_grade = 0
         for j, letter in enumerate(w):
-            grade = pres.grade(letter)
-            if grade == 0 and letter not in CONSTANT_LETTERS:
-                dletter = "d" + letter
-                pres.generator(dletter)  # the universe must have it
-                term = w[:j] + (dletter,) + w[j + 1:]
-                add_term(out, term, -c if prefix_grade % 2 else c)
-            prefix_grade += grade
-    return NCPoly._of(out, p.universe)
+            image = images.get(letter)
+            if image is not None:
+                head, tail = w[:j], w[j + 1:]
+                add_scaled(out, image.terms, -c if prefix_grade % 2 else c,
+                           lambda dw: head + dw + tail)
+            prefix_grade += pres.grade(letter)
+    return NCPoly._of(settle(out), p.universe)
 
 
 def leibniz_consistency_check(dga: Presentation):
@@ -519,11 +531,10 @@ def leibniz_consistency_check(dga: Presentation):
     and the lhs pairs of the rules fired while reducing it (rules_used).
     """
     results = []
-    for lhs in sorted(dga.rules):
+    for lhs, relation in dga.relations():
         g0, g1 = lhs
         if dga.grade(g0) != 0:
             continue  # differential-only rows are the oracle's output side
-        relation = NCPoly.word(lhs) - dga.rules[lhs]
         used = set()
         residual = dga.normal_form(leibniz_expansion(relation, dga), trace=used)
         results.append({

@@ -303,10 +303,6 @@ class LaurentScalar:
         return LaurentScalar({0: r})
 
     @staticmethod
-    def from_gauss(g: "LaurentScalar") -> "LaurentScalar":
-        return LaurentScalar({0: g})
-
-    @staticmethod
     def coerce(value) -> "LaurentScalar":
         if isinstance(value, LaurentScalar):
             return value

@@ -1,11 +1,14 @@
-"""Mutation adequacy of the `verify all` report: which rules do its checks
-constrain?
+"""Mutation adequacy of the `verify all` report: which rules and which
+Hopf image tables do its checks constrain?
 
-Each mutant rebuilds one catalog presentation with one rule changed, runs
+Each mutant rebuilds one catalog presentation with one rule changed, or
+one of the generator image tables of the coproduct (hopf._coproduct_images)
+and the antipode (hopf._antipode_images) with one image changed, runs
 run_suite("all") in a fresh interpreter and compares every check's status
 and residual with the unmutated report (perfbench/expected/verify_all.json).
-An operator changes the first rhs term of the rule, in the order
-render_poly prints it:
+An operator changes the first rhs term of the rule, or the first term of
+the image, in the order render_poly and TensorPoly.render print it (the
+coproduct's in hq, the antipode's in hq_localized):
 
     negate   the coefficient times -1
     times-q  the coefficient times q
@@ -43,35 +46,53 @@ ROOT = Path(__file__).resolve().parents[1]
 ORACLE = ROOT / "perfbench" / "expected" / "verify_all.json"
 
 PRESENTATIONS = ("hq", "units", "dga", "cartan_maurer", "grassmann")
+TABLES = ("_coproduct_images", "_antipode_images")
 OPERATORS = ("negate", "times-q", "drop")
 CLASSES = ("crash", "killed", "confluence", "residual", "survived")
 
-# Run in the fresh interpreter: argv is the presentation, the rule's lhs
-# as JSON and the operator; prints {check id: [status, residual]}.
+# Run in the fresh interpreter: argv is the presentation or image table,
+# the rule's lhs or the image's letter as JSON and the operator; prints
+# {check id: [status, residual]}.
 CHILD = """
 import json, sys
-from qcalc import LaurentScalar, NCPoly, Presentation, run_suite
+from qcalc import LaurentScalar, NCPoly, Presentation, get_presentation, hopf, run_suite
 from qcalc import presentations
 
-name, lhs, op = sys.argv[1], tuple(json.loads(sys.argv[2])), sys.argv[3]
-build = presentations._CATALOG_BUILDERS[name]
+name, key, op = sys.argv[1], tuple(json.loads(sys.argv[2])), sys.argv[3]
 
-def mutated():
-    pres = build()
-    rules = dict(pres.rules)
-    terms = dict(rules[lhs].terms)
-    first = min(terms, key=pres.word_sort_key)
+def changed(terms, sort_key):
+    terms = dict(terms)
+    first = min(terms, key=sort_key)
     if op == "negate":
         terms[first] = -terms[first]
     elif op == "times-q":
         terms[first] = terms[first] * LaurentScalar.q_power(1)
     else:
         del terms[first]
-    rules[lhs] = NCPoly(terms)
-    return Presentation(pres.name, pres.generators, rules, pres.description)
+    return terms
 
-presentations._CATALOG_BUILDERS[name] = mutated
-presentations._cache.clear()
+if name in presentations._CATALOG_BUILDERS:
+    build = presentations._CATALOG_BUILDERS[name]
+
+    def mutated():
+        pres = build()
+        rules = dict(pres.rules)
+        rules[key] = NCPoly(changed(rules[key].terms, pres.word_sort_key))
+        return Presentation(pres.name, pres.generators, rules, pres.description)
+
+    presentations._CATALOG_BUILDERS[name] = mutated
+    presentations._cache.clear()
+else:
+    images = dict(getattr(hopf, name)())
+    image = images[key[0]]
+    if name == "_coproduct_images":
+        hq = get_presentation("hq")
+        terms = changed(image.terms, lambda k: tuple(map(hq.word_sort_key, k)))
+        images[key[0]] = hopf.TensorPoly(terms, image.legs)
+    else:
+        loc = get_presentation("hq_localized")
+        images[key[0]] = NCPoly(changed(image.terms, loc.word_sort_key))
+    setattr(hopf, name, lambda: images)
 report = run_suite("all")
 print(json.dumps({c.id: [c.status, c.residual] for c in report.checks}))
 """
@@ -84,9 +105,11 @@ def baseline() -> dict:
 
 
 def mutants():
-    """(presentation, lhs, operator) for every reachable mutant, and the
-    (presentation, lhs) pairs whose rule has a zero rhs."""
-    from qcalc import get_presentation
+    """(table, key, operator) for every reachable mutant, and the
+    (presentation, lhs) pairs whose rule has a zero rhs.  The key is a
+    rule's lhs or, in an image table, the one-letter tuple of the image's
+    letter."""
+    from qcalc import get_presentation, hopf
     reachable, zero = [], []
     for name in PRESENTATIONS:
         rules = get_presentation(name).rules
@@ -95,13 +118,16 @@ def mutants():
                 reachable += [(name, lhs, op) for op in OPERATORS]
             else:
                 zero.append((name, lhs))
+    for name in TABLES:
+        reachable += [(name, (gid,), op) for gid in sorted(getattr(hopf, name)())
+                      for op in OPERATORS]
     return reachable, zero
 
 
-def run_mutant(name, lhs, op, base):
+def run_mutant(name, key, op, base):
     """(class, changed check ids or the crash's last line) of one mutant."""
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, name, json.dumps(lhs), op],
+        [sys.executable, "-c", CHILD, name, json.dumps(key), op],
         cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True)
     if proc.returncode:
@@ -119,10 +145,10 @@ def run_mutant(name, lhs, op, base):
 
 
 def kill_table(results) -> str:
-    """Markdown table: mutants per presentation and operator, by class."""
-    head = "| presentation | operator | mutants | " + " | ".join(CLASSES) + " |"
+    """Markdown table: mutants per table and operator, by class."""
+    head = "| table | operator | mutants | " + " | ".join(CLASSES) + " |"
     lines = [head, "|" + "---|" * (3 + len(CLASSES))]
-    for name in PRESENTATIONS:
+    for name in PRESENTATIONS + TABLES:
         for op in OPERATORS:
             mine = [cls for (n, _, o), (cls, _) in results.items()
                     if (n, o) == (name, op)]
@@ -143,10 +169,10 @@ def main(argv=None) -> int:
         todo = random.Random(args.seed).sample(todo, args.sample)
     base = baseline()
     results = {}
-    for name, lhs, op in todo:
-        results[name, lhs, op] = cls, detail = run_mutant(name, lhs, op, base)
+    for name, key, op in todo:
+        results[name, key, op] = cls, detail = run_mutant(name, key, op, base)
         if cls != "killed":
-            print(f"{name} {'*'.join(lhs)} {op}: {cls} {detail}", flush=True)
+            print(f"{name} {'*'.join(key)} {op}: {cls} {detail}", flush=True)
     print(kill_table(results))
     if zero:
         print("zero rhs, out of reach:",

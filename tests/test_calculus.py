@@ -2,7 +2,8 @@ import pytest
 
 import qcalc.calculus
 import qcalc.presentations
-from qcalc import NCPoly, Presentation, PresentationError, get_presentation, render_poly
+from qcalc import (NCPoly, Presentation, PresentationError, UniverseMismatchError,
+                   get_presentation, render_poly)
 from qcalc.calculus import (
     _STAR_IMAGES,
     OMEGA_BAR_CANDIDATES,
@@ -17,7 +18,6 @@ from qcalc.calculus import (
     differential,
     extract_vector_fields,
     nilpotency_residuals,
-    norm_differential,
     omega_forms,
     one_form_consistency_residuals,
     recover_differentials_on_unit_sphere,
@@ -29,7 +29,7 @@ from qcalc.calculus import (
     verify_lie_algebra,
     verify_omega_bar_identity,
 )
-from qcalc.presentations import rat, shipped_names
+from qcalc.presentations import norm_poly, rat, shipped_names
 from qcalc.verify import run_suite
 
 
@@ -267,7 +267,8 @@ def test_star_commutes_with_d_up_to_the_squared_deformation():
 
 def test_norm_differential_frozen_value():
     udga = get_presentation("units_dga")
-    assert render_poly(norm_differential(), udga) == (
+    dga = get_presentation("dga")
+    assert render_poly(differential(norm_poly(), dga), udga) == (
         "(2)*q^-1*da3*a3 + (2)*q^-1*da2*a2 + da1*a1 + q^-2*da1*a1 "
         "- i*da1*a0 + i*q^-2*da1*a0 + i*da0*a1 - i*q^-2*da0*a1 "
         "+ da0*a0 + q^-2*da0*a0")
@@ -282,6 +283,19 @@ def test_unit_norm_extension_universes():
     assert len(plain.rules) == 66
     assert len(full.check_local_confluence()) == 64
     assert len(plain.check_local_confluence()) == 4
+
+
+def test_the_unit_norm_extensions_with_and_without_dn_do_not_mix():
+    full = unit_norm_extension("dga")
+    plain = unit_norm_extension("dga", with_norm_differential=False)
+    assert (len(full.rules), len(plain.rules)) == (34, 33)
+    assert full.name != plain.name
+    p = NCPoly.word(("da2", "a2"))
+    with pytest.raises(UniverseMismatchError):
+        full.normal_form(p) - plain.normal_form(p)
+    # without differentials the two requests build one universe
+    assert (unit_norm_extension("units").name
+            == unit_norm_extension("units", with_norm_differential=False).name)
 
 
 def test_unit_norm_extension_names_a_pivot_that_does_not_divide(monkeypatch):

@@ -18,6 +18,7 @@ from qcalc.hopf import (
     _coproduct_images,
     antipode,
     antipode_square,
+    convolution,
     coproduct,
     counit,
     reduce_norm_factors,
@@ -135,7 +136,7 @@ def test_tensor_normal_form_acts_legwise():
     for _ in range(10):
         t = tensor(random_poly(rng), random_poly(rng))
         assert_canonical(t.normal_form(hq))
-        assert_canonical(t.map_leg(1, _coproduct_images(), 2, hq))
+        assert_canonical(t.map_leg(1, _coproduct_images(), hq))
 
 
 @pytest.mark.parametrize("q0", (2, Fraction(2, 3)))
@@ -152,7 +153,7 @@ def test_tensor_reduced_at_a_specialised_q_is_a_value_at_that_q(q0):
     for _ in range(10):
         t = tensor(random_poly(rng), random_poly(rng))
         for reduce in (lambda pres: t.normal_form(pres),
-                       lambda pres: t.map_leg(0, images, 2, pres)):
+                       lambda pres: t.map_leg(0, images, pres)):
             got, generic = assert_canonical(reduce(at)), reduce(hq)
             assert got.terms == {k: v for k, c in generic.terms.items()
                                  if (v := c.eval_at(q0))}
@@ -167,11 +168,25 @@ def test_tensor_normal_form_of_no_legs_is_the_scalar():
     assert (tensor() * half).normal_form(hq) == TensorPoly({(): half}, legs=0)
 
 
-def test_tensor_contract_and_as_poly():
-    t = tensor(letter("a0"), letter("a1")) + tensor(NCPoly.unit("hq"), letter("a2"))
-    dropped = t.contract_leg(0, lambda p: counit(p))
-    assert dropped.legs == 1
-    assert dropped.as_poly() == letter("a1") + letter("a2")
+def counit_of(w):
+    return NCPoly.scalar(counit(NCPoly.word(w)))
+
+
+def antipode_of(w):
+    return antipode(NCPoly.word(w))
+
+
+def test_convolution_sums_the_images_of_the_coproduct_legs():
+    # coproduct(a1) = a0⊗a1 + a1⊗a0 + a2⊗a3 - a3⊗a2, each leg mapped and
+    # multiplied left leg first, with no reduction
+    marks = {gid: NCPoly.letter(f"m{gid[1]}") for gid in A}
+    got = convolution(lambda u: marks[u[0]], NCPoly.word, letter("a1") * 3)
+    want = (marks["a0"] * letter("a1") + marks["a1"] * letter("a0")
+            + marks["a2"] * letter("a3") - marks["a3"] * letter("a2")) * 3
+    assert got == want and got.universe is None
+    # a constant's coproduct is the constant times 1⊗1
+    half = NCPoly.scalar(LaurentScalar.one() / 2)
+    assert convolution(NCPoly.word, NCPoly.word, half) == half
 
 
 def test_coproduct_images_match_the_published_matrix():
@@ -209,8 +224,8 @@ def test_counit_laws_on_generators():
     hq = get_presentation("hq")
     for gid in A:
         g = letter(gid)
-        left = coproduct(g).contract_leg(0, counit).as_poly()
-        right = coproduct(g).contract_leg(1, counit).as_poly()
+        left = convolution(counit_of, NCPoly.word, g)
+        right = convolution(NCPoly.word, counit_of, g)
         assert hq.normal_form(left - g) == 0
         assert hq.normal_form(right - g) == 0
 
@@ -231,12 +246,20 @@ def test_antipode_law_convolves_to_the_counit_on_generators():
     for gid in A:
         g = letter(gid)
         target = NCPoly.scalar(counit(g), loc.name)
-        acc = NCPoly.zero(loc.name)
-        for (u, v), c in coproduct(g).terms.items():
-            acc = acc + antipode(NCPoly.word(u)) * \
-                NCPoly.word(v, universe=loc.name) * c
-        reduced = reduce_norm_factors(loc.normal_form(acc))
-        assert reduced - target == 0, gid
+        for f, h in ((antipode_of, NCPoly.word), (NCPoly.word, antipode_of)):
+            acc = convolution(f, h, g)
+            assert acc.universe == loc.name
+            assert reduce_norm_factors(acc) - target == 0, gid
+
+
+def test_counit_convolutions_are_the_identity_on_seeded_words():
+    hq = get_presentation("hq")
+    rng = random.Random(3305)
+    for _ in range(60):
+        w = NCPoly.word(tuple(rng.choice(A) for _ in range(rng.randint(0, 3))),
+                        universe=hq.name)
+        for f, h in ((counit_of, NCPoly.word), (NCPoly.word, counit_of)):
+            assert hq.normal_form(convolution(f, h, w)) == hq.normal_form(w), w
 
 
 def test_norm_is_grouplike():

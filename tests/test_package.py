@@ -28,13 +28,13 @@ PUBLIC = {
     "calculus": ("OMEGA_BAR_CANDIDATES", "apply_field", "cartan_maurer_d",
                  "conversion_closure_residuals", "da_from_w", "differential",
                  "extract_vector_fields", "nilpotency_residuals",
-                 "norm_differential", "omega_forms",
+                 "omega_forms",
                  "one_form_consistency_residuals",
                  "recover_differentials_on_unit_sphere", "star",
                  "star_involution_residuals", "star_table",
                  "unit_norm_extension", "verify_d_star", "verify_lie_algebra",
                  "verify_omega_bar_identity"),
-    "hopf": ("TensorPoly", "antipode", "antipode_square", "coproduct",
+    "hopf": ("TensorPoly", "antipode", "antipode_square", "convolution", "coproduct",
              "counit", "reduce_norm_factors", "tensor", "verify_hopf_axioms"),
     "parser": ("ParseError", "UnknownSymbolError", "parse", "parse_scalar"),
     "report": ("CheckRecord", "ENGINE_VERSION", "SUITES", "VerificationReport"),

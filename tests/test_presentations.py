@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -5,14 +6,17 @@ import pytest
 
 import qcalc.presentations
 from qcalc import (
+    LaurentScalar,
     NCPoly,
     Presentation,
     PresentationError,
+    UnknownGeneratorError,
     get_presentation,
     render_poly,
     shipped_names,
 )
 from qcalc.presentations import (
+    CONSTANT_LETTERS,
     build_units,
     build_units_cm,
     build_units_dga,
@@ -20,9 +24,11 @@ from qcalc.presentations import (
     corrected_rule_diff,
     grassmann_vs_differentials_crosscheck,
     leibniz_consistency_check,
+    leibniz_expansion,
     norm_poly,
     specialize,
 )
+from qcalc.calculus import cartan_maurer_d, da_from_w
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "presentations"
 
@@ -124,6 +130,91 @@ def test_eval_at_specializes_coefficients():
     nf = hq.normal_form(NCPoly.word(("a0", "a1")))
     cl = nf.eval_at(1)
     assert cl == NCPoly.word(("a1", "a0"))
+
+
+def test_respecialising_at_the_own_q_gives_the_same_universe():
+    hq = get_presentation("hq")
+    at2 = specialize(hq, 2)
+    assert specialize(at2, 2) is at2
+    assert specialize(at2, Fraction(4, 2)) is at2
+    cl = get_presentation("classical-hq")
+    assert specialize(cl, 1) is cl
+    p = NCPoly.word(("a0", "a1", "a2"))
+    assert at2.normal_form(p) - specialize(at2, 2).normal_form(p) == 0
+
+
+def letterwise_leibniz(p, pres):
+    """d of p letter by letter: a grade-0 coordinate letter becomes its
+    differential letter, signed by the grade of the letters before it;
+    every other letter is annihilated."""
+    out = NCPoly.zero(p.universe)
+    for w, c in p.terms.items():
+        for j, letter in enumerate(w):
+            if pres.grade(letter) == 0 and letter not in CONSTANT_LETTERS:
+                sign = (-1) ** pres.word_grade(w[:j])
+                out = out + NCPoly.word(w[:j] + ("d" + letter,) + w[j + 1:],
+                                        c * sign, p.universe)
+    return out
+
+
+def seeded_poly(rng, pres, max_len=4, terms=4):
+    gens = pres.generator_ids()
+    i, q = LaurentScalar.i_unit(), LaurentScalar.q_power(1)
+    pool = (LaurentScalar.one(), -LaurentScalar.one(), i * q, q - 2)
+    out = NCPoly.zero(pres.name)
+    for _ in range(rng.randint(1, terms)):
+        w = tuple(rng.choice(gens) for _ in range(rng.randint(0, max_len)))
+        out = out + NCPoly.word(w, rng.choice(pool), pres.name)
+    return out
+
+
+@pytest.mark.parametrize("name", ["dga", "units_dga"])
+def test_leibniz_expansion_by_default_maps_each_coordinate_to_its_differential(name):
+    pres = get_presentation(name)
+    rng = random.Random(3301)
+    for _ in range(40):
+        p = seeded_poly(rng, pres)
+        got = leibniz_expansion(p, pres)
+        assert got == letterwise_leibniz(p, pres), p
+        assert got.universe == pres.name
+
+
+def frame_images():
+    """d of the frame algebra's letters: da_k in the frame, and the
+    two-form table for d(w_j)."""
+    return {**da_from_w(), **{f"w{j}": cartan_maurer_d(j) for j in range(4)}}
+
+
+@pytest.mark.parametrize("name, images", [
+    ("dga", None), ("cartan_maurer", frame_images())], ids=["dga", "cartan_maurer"])
+def test_leibniz_expansion_is_a_graded_derivation_before_reduction(name, images):
+    # d(x*y) = d(x)*y + (-1)^|x| x*d(y) on seeded pairs of words
+    pres = get_presentation(name)
+    gens = pres.generator_ids()
+    rng = random.Random(3303)
+    for _ in range(80):
+        x, y = (NCPoly.word(tuple(rng.choice(gens) for _ in range(rng.randint(0, 3))))
+                for _ in range(2))
+        sign = (-1) ** pres.word_grade(next(iter(x.terms)))
+        want = (leibniz_expansion(x, pres, images) * y
+                + x * leibniz_expansion(y, pres, images) * sign)
+        assert leibniz_expansion(x * y, pres, images) == want, (x, y)
+
+
+def test_leibniz_expansion_annihilates_a_letter_without_an_image():
+    dga = get_presentation("dga")
+    p = NCPoly.word(("da1", "a2", "a0"))
+    assert leibniz_expansion(p, dga, {"a0": NCPoly.letter("a3")}) == \
+        NCPoly.word(("da1", "a2", "a3"), -1)
+    assert leibniz_expansion(p, dga, {}) == 0
+
+
+def test_leibniz_expansion_by_default_needs_the_differential_letters():
+    with pytest.raises(UnknownGeneratorError):
+        leibniz_expansion(NCPoly.word(("e1", "a2")), get_presentation("units"))
+    # constant letters need none
+    assert leibniz_expansion(NCPoly.word(("e1", "e2")), get_presentation("units")) == 0
+    assert leibniz_expansion(NCPoly.letter("n_inv"), get_presentation("hq_localized")) == 0
 
 
 def test_leibniz_rows_are_clean_on_the_repaired_table():
