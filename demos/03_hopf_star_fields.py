@@ -48,7 +48,8 @@ def main():
     for g in ("a0", "a1"):
         print(f"    S({g}) = {render_poly(antipode(parse(g, loc)), loc)}")
     for gid in ("a0", "a1"):
-        acc = convolution(lambda u: antipode(NCPoly.word(u)), NCPoly.word, parse(gid, hq))
+        acc = convolution(lambda u: antipode(NCPoly.word(u)), NCPoly.word,
+                          coproduct(parse(gid, hq)))
         print(f"  convolution m(S (x) id)(coproduct({gid})) = "
               f"{render_poly(reduce_norm_factors(acc), loc)}"
               f"   (= counit({gid}) * 1)")
@@ -76,10 +77,10 @@ def main():
     print()
 
     print("== invariant vector fields ==")
-    classical = verify_lie_algebra(3, "classical")["bracket"]
+    classical = verify_lie_algebra(3, classical=True)["bracket"]
     print(f"  classical brackets with any failures:"
           f" {[r['relation'] for r in classical if r['failures']]}")
-    for conv, rows in verify_lie_algebra(2, "quantum").items():
+    for conv, rows in verify_lie_algebra(2).items():
         failed = {r["relation"]: len(r["failures"]) for r in rows if r["failures"]}
         print(f"  quantum, {conv} convention: failures per relation = {failed}")
     print("  (the three commutation rows hold; the three composite rows do not,")

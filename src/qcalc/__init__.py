@@ -22,7 +22,6 @@ from .algebra import (
     substitute,
 )
 from .presentations import (
-    classical,
     corrected_rule_diff,
     get_presentation,
     grassmann_vs_differentials_crosscheck,

@@ -268,6 +268,16 @@ class Presentation:
         for lhs in sorted(self.rules):
             yield lhs, NCPoly.word(lhs) - self.rules[lhs]
 
+    def normal_words(self, n: int) -> list:
+        """The words of length 1..n with no rule lhs as an adjacent pair,
+        shortest first, each length in rank order; reads only the rule keys."""
+        letters, words, out = self.generator_ids(), [()], []
+        for _ in range(n):
+            words = [w + (g,) for w in words for g in letters
+                     if not w or (w[-1], g) not in self.rules]
+            out += words
+        return out
+
     def is_degree_homogeneous(self) -> bool:
         """True when every rule rewrites length 2 to length 2."""
         return all(

@@ -339,7 +339,7 @@ def recover_differentials_on_unit_sphere() -> list:
     round trip is a classical-limit consistency statement.
     """
     ext = unit_norm_extension("dga", with_norm_differential=False)
-    at_one = specialize(ext, 1, name="classical-" + ext.name)
+    at_one = specialize(ext, 1)
     u = at_one.name
     forms = omega_forms()
     images = {k: NCPoly(dict(v.terms), u) for k, v in forms.items()}
@@ -380,39 +380,25 @@ def coordinate_frame_coefficients(f: NCPoly, classical: bool = False) -> dict:
     return parts
 
 
-def _monomial_basis(cap: int):
-    """Normal-form coordinate words up to the degree cap, ordered by rank."""
-    letters = ["a3", "a2", "a1", "a0"]
-    words = [()]
-    for _ in range(cap):
-        fresh = []
-        for w in words:
-            start = letters.index(w[-1]) if w else 0
-            for gid in letters[start:]:
-                fresh.append(w + (gid,))
-        words = fresh
-        yield from fresh
-
-
 def _frame_parts(cap: int, classical: bool = False) -> dict:
     """The frame parts of df, df = sum_k w_k*f_k, built one letter at a time.
 
     Returns {word: {w_k: f_k(word)}} for the empty word and every word of
-    _monomial_basis(cap).  Write da = sum_m w_m*g_m(a), g_m(a) the signed
+    hq.normal_words(cap).  Write da = sum_m w_m*g_m(a), g_m(a) the signed
     letter of _DA_ROWS, and read a*w_k = sum_m w_m*c_km(a) off the
     cartan_maurer rule for (a, w_k).  Leibniz, d(a*u) = da*u + a*du, gives
 
         f_m(a*u) = g_m(a)*u + sum_k c_km(a)*f_k(u),
 
     reduced in the coordinate sector.  The tail u of a normal word is
-    normal and shorter, so basis order has tabulated it already.  The
-    frame presentation has no failing overlaps, so by Bergman's Diamond
+    normal and shorter, so shortest-first order has tabulated it already.
+    The frame presentation has no failing overlaps, so by Bergman's Diamond
     Lemma every df has one normal form whichever path computes it: each
     entry equals coordinate_frame_coefficients of its word.
     """
     cm = get_presentation(("classical-" if classical else "") + "cartan_maurer")
     table = {(): {k: NCPoly.zero() for k in W}}
-    for word in _monomial_basis(cap):
+    for word in get_presentation("hq").normal_words(cap):
         aid, tail = word[0], word[1:]
         acc = {m: {(bid,) + tail: rat(sgn)} for m, bid, sgn in _DA_ROWS[aid]}
         for k, fk in table[tail].items():
@@ -478,11 +464,11 @@ def _lie_rows(classical: bool) -> dict:
 _ROW_WEIGHTS = {"bracket": (ONE, ONE), "printed": (rat(1, 2), rat(1, 4))}
 
 
-def verify_lie_algebra(cap: int, mode: str):
+def verify_lie_algebra(cap: int, classical: bool = False):
     """Evaluate the displayed generator relations on all monomials up to cap.
 
-    classical mode checks the six bracket identities at q=1; quantum
-    mode evaluates the deformed relations (_lie_rows).  Returns
+    classical checks the six bracket identities at q=1; otherwise the
+    deformed relations (_lie_rows) are evaluated at generic q.  Returns
     {convention: records}, one record per relation with any violating
     monomials; empty failure lists mean the relation holds on the
     sampled module.  The fields are tabulated once per call.  On each
@@ -501,9 +487,6 @@ def verify_lie_algebra(cap: int, mode: str):
     """
     if cap < 0:
         raise ValueError(f"verify_lie_algebra cap must be at least 0, got {cap}")
-    classical = mode == "classical"
-    if mode not in ("classical", "quantum"):
-        raise ValueError(f"unknown mode {mode!r}")
     hq = get_presentation(("classical-" if classical else "") + "hq")
     fields = extract_vector_fields(max(cap, 1), classical=classical)
     rows = _lie_rows(classical)
@@ -514,7 +497,7 @@ def verify_lie_algebra(cap: int, mode: str):
                {key: weight[len(key) - 1] * c for key, c in row.items()})
               for convention, weight in _ROW_WEIGHTS.items()
               for label, row in rows.items()]
-    for w in [()] + list(_monomial_basis(cap)):
+    for w in [()] + hq.normal_words(cap):
         images = {(j,): fields[j][w] for j in inner}
         for i, j in pairs:
             images[(i, j)] = apply_field(fields[i], images[(j,)])

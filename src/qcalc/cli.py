@@ -25,25 +25,13 @@ __all__ = ["main"]
 
 APPLY_OPS = ("d", "star", "coproduct", "counit", "antipode")
 
-_D_UPGRADES = {"hq": "dga", "units": "units_dga"}
+# the universe that adds d letters to a coordinate one, for apply d
+_D_UPGRADES = {"hq": "dga", "units": "units_dga", "classical-hq": "classical-dga",
+               "classical-units": "classical-units_dga"}
 
 
 class CliError(Exception):
     """Usage-level problem; maps to exit code 2."""
-
-
-def _algebra_name(args, with_d=False) -> str:
-    """Catalog name of --algebra; with_d names the universe with d letters."""
-    prefix, base = "", args.algebra
-    if base.startswith("classical-"):
-        prefix, base = "classical-", base[len("classical-"):]
-    if getattr(args, "literal_paper", False):
-        if base != "dga":
-            raise CliError("--literal-paper applies to the dga algebra only")
-        base = "dga_literal"
-    elif with_d:
-        base = _D_UPGRADES.get(base, base)
-    return prefix + base
 
 
 def _q_value(args):
@@ -68,7 +56,8 @@ def _q_value(args):
 
 
 def _presentation(args, with_d=False) -> Presentation:
-    pres = get_presentation(_algebra_name(args, with_d))
+    name = _D_UPGRADES.get(args.algebra, args.algebra) if with_d else args.algebra
+    pres = get_presentation(name)
     value = _q_value(args)
     return pres if value is None else specialize(pres, value)
 
@@ -95,7 +84,7 @@ def _cmd_apply(args) -> int:
     if op in ("d", "star"):
         pres = _presentation(args, with_d=op == "d")
         if op == "star":
-            table = calculus.star_table(_algebra_name(args))
+            table = calculus.star_table(args.algebra)
         elif not any(g.id == "da0" for g in pres.generators):
             raise CliError(
                 f"the differential needs differential letters; "
@@ -124,9 +113,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.cap < 0:
-        raise CliError(f"--cap must be at least 0, got {args.cap}")
-    report = verify.run_suite(args.suite, cap=args.cap)
+    report = verify.run_suite(args.suite)
     print(report.render_table())
     path = args.output or f"qcalc-report-{args.suite}.json"
     with open(path, "w", encoding="utf-8") as fh:
@@ -179,10 +166,6 @@ def _build_argparser() -> argparse.ArgumentParser:
         p.add_argument("--at-q", dest="at_q", metavar="RATIONAL",
                        help="specialize coefficients and rules at a nonzero "
                             "rational q")
-        p.add_argument("--literal-paper", dest="literal_paper",
-                       action="store_true",
-                       help="use the differential table exactly as printed, "
-                            "without the repairs")
         p.add_argument("--unicode", action="store_true",
                        help="superscripts and a real tensor sign in output")
 
@@ -205,8 +188,6 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", nargs="?", default="all", choices=SUITES)
-    p_verify.add_argument("--cap", type=int, default=3,
-                          help="degree cap for classical bracket tabulation")
     p_verify.add_argument("--output", help="report file path")
     p_verify.set_defaults(fn=_cmd_verify)
 
@@ -223,8 +204,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     return top
 
 
-_FLAGS = {"-h", "--help", "--version", "--algebra", "--at-q",
-          "--literal-paper", "--unicode", "--cap", "--output"}
+_FLAGS = {"-h", "--help", "--version", "--algebra", "--at-q", "--unicode",
+          "--output"}
 
 
 def _pad_expression_args(argv):

@@ -214,11 +214,12 @@ def coproduct(p: NCPoly, pres: Presentation = None) -> TensorPoly:
     return lifted.map_leg(0, _coproduct_images(), pres)
 
 
-def convolution(f, g, p: NCPoly) -> NCPoly:
-    """f⋆g applied to p: the sum of c·f(u)·g(v) over the terms c·u⊗v of
-    coproduct(p), unreduced.  f and g map a word to an NCPoly."""
+def convolution(f, g, delta: TensorPoly) -> NCPoly:
+    """f⋆g contracted against a coproduct: the sum of c·f(u)·g(v) over
+    the terms c·u⊗v of delta, unreduced, so (f⋆g)(p) is
+    convolution(f, g, coproduct(p)).  f and g map a word to an NCPoly."""
     out, universe = {}, None
-    for (u, v), c in coproduct(p).terms.items():
+    for (u, v), c in delta.terms.items():
         part = f(u) * g(v)
         universe = _joint_universe(universe, part.universe)
         add_scaled(out, part.terms, c)
@@ -252,15 +253,6 @@ def antipode(p: NCPoly) -> NCPoly:
     return reduce_norm_factors(substitute(flipped, _antipode_images(), loc))
 
 
-def _insert_pair(pres: Presentation, base, gid):
-    """Sorted word obtained by inserting two copies of gid into base."""
-    r = pres.rank(gid)
-    spot = 0
-    while spot < len(base) and pres.rank(base[spot]) <= r:
-        spot += 1
-    return base[:spot] + (gid, gid) + base[spot:]
-
-
 def reduce_norm_factors(p: NCPoly) -> NCPoly:
     """Cancel recognized norm factors against inverse-norm letters.
 
@@ -288,7 +280,7 @@ def reduce_norm_factors(p: NCPoly) -> NCPoly:
                 bundle = {}
                 consistent = True
                 for gid, weight in weights:
-                    word = _insert_pair(loc, base, gid) + tail
+                    word = tuple(sorted(base + (gid, gid), key=loc.rank)) + tail
                     if p.terms.get(word) != c * weight:
                         consistent = False
                         break
@@ -348,13 +340,13 @@ def verify_hopf_axioms():
         left3 = delta.map_leg(0, images, hq)
         right3 = delta.map_leg(1, images, hq)
         record(f"coproduct.coassociativity.{gid}", left3 - right3)
-        record(f"counit.left.{gid}", convolution(counit_of, NCPoly.word, g) - g)
-        record(f"counit.right.{gid}", convolution(NCPoly.word, counit_of, g) - g)
+        record(f"counit.left.{gid}", convolution(counit_of, NCPoly.word, delta) - g)
+        record(f"counit.right.{gid}", convolution(NCPoly.word, counit_of, delta) - g)
         target = NCPoly.scalar(counit(g), loc.name)
-        record(f"antipode.left.{gid}",
-               reduce_norm_factors(convolution(antipode_of, NCPoly.word, g)) - target)
-        record(f"antipode.right.{gid}",
-               reduce_norm_factors(convolution(NCPoly.word, antipode_of, g)) - target)
+        record(f"antipode.left.{gid}", reduce_norm_factors(
+            convolution(antipode_of, NCPoly.word, delta)) - target)
+        record(f"antipode.right.{gid}", reduce_norm_factors(
+            convolution(NCPoly.word, antipode_of, delta)) - target)
         record(f"norm.central.{gid}", hq.normal_form(n * g - g * n))
         record(f"star.involution.{gid}", star(star(g, table, hq), table, hq) - g)
         record(f"antipode.square.{gid}", antipode_square(gid), "informational")

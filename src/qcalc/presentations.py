@@ -416,12 +416,13 @@ def build_hq_localized() -> Presentation:
 
 # -- specialization ------------------------------------------------------
 
-def specialize(pres: Presentation, q0, name=None) -> Presentation:
+def specialize(pres: Presentation, q0) -> Presentation:
     """Evaluate every rule coefficient at a nonzero rational q value.
 
     The result's q is q0, at which its normal_form evaluates each input;
     a presentation already specialized at q0 is its own specialization,
-    and one specialized at another value is refused.
+    and one specialized at another value is refused.  The classical
+    limit, q0 = 1, is named classical-<name>; any other is <name>@q=<q0>.
     """
     q0 = Fraction(q0)
     if pres.q == q0:
@@ -431,18 +432,13 @@ def specialize(pres: Presentation, q0, name=None) -> Presentation:
             f"{pres.name} is already specialized at q = {pres.q}")
     rules = {lhs: rhs.eval_at(q0) for lhs, rhs in pres.rules.items()}
     out = Presentation(
-        name or f"{pres.name}@q={q0}",
+        f"classical-{pres.name}" if q0 == 1 else f"{pres.name}@q={q0}",
         pres.generators,
         rules,
         f"{pres.description} (q = {q0})",
     )
     out.q = q0
     return out
-
-
-def classical(pres: Presentation) -> Presentation:
-    """The q = 1 specialization, under the catalog's classical-* name."""
-    return specialize(pres, 1, name=f"classical-{pres.name}")
 
 
 # -- catalog --------------------------------------------------------------
@@ -473,7 +469,7 @@ def get_presentation(name: str) -> Presentation:
         return _cache[name]
     if name.startswith("classical-"):
         base = get_presentation(name[len("classical-"):])
-        pres = classical(base)
+        pres = specialize(base, 1)
     elif name in _CATALOG_BUILDERS:
         pres = _CATALOG_BUILDERS[name]()
     else:

@@ -41,9 +41,11 @@ from .presentations import (
 )
 from .report import SUITES, CheckRecord, VerificationReport
 
+# degree caps of the vector-field tabulations the report checks
+CLASSICAL_FIELD_CAP = 3
 QUANTUM_FIELD_CAP = 2
 
-__all__ = ["SUITES", "QUANTUM_FIELD_CAP", "run_suite"]
+__all__ = ["SUITES", "CLASSICAL_FIELD_CAP", "QUANTUM_FIELD_CAP", "run_suite"]
 
 
 def _rendered(p, pres) -> str:
@@ -74,7 +76,7 @@ def _exact_rows(prefix, paper_ref, rows, pres, corrections=()):
 # -- differential suite ----------------------------------------------------
 
 
-def _dga_suite(cap):
+def _dga_suite():
     da_fix = tuple("*".join(lhs) for lhs in corrected_rule_diff())
     dw_fix = ("dw0: quadratic term letter order",)
 
@@ -200,7 +202,7 @@ _HOPF_GROUPS = {
 }
 
 
-def _hopf_suite(cap):
+def _hopf_suite():
     for rec in verify_hopf_axioms():
         ref, universe = _HOPF_GROUPS[rec["id"].split(".", 1)[0]]
         yield _check(f"hopf.{rec['id']}", ref,
@@ -220,9 +222,9 @@ def _violations(failures, pres, where=""):
             f"{'*'.join(word) or '1'}: {_rendered(residual, pres)}")
 
 
-def _classical_suite(cap):
+def _classical_suite():
     cl = get_presentation("classical-hq")
-    records = verify_lie_algebra(cap, "classical")
+    records = verify_lie_algebra(CLASSICAL_FIELD_CAP, classical=True)
     for rec in records["bracket"]:
         yield _check(f"classical.bracket.{rec['relation']}",
                      "published classical bracket table",
@@ -252,7 +254,7 @@ def _classical_suite(cap):
 # -- Grassmann suite ----------------------------------------------------------
 
 
-def _grassmann_suite(cap):
+def _grassmann_suite():
     failures = get_presentation("grassmann").check_local_confluence()
     yield _check("confluence.grassmann", "derived: overlap analysis",
                  f"{len(failures)} failing overlaps" if failures else "")
@@ -270,9 +272,9 @@ def _grassmann_suite(cap):
 # -- vector-field suite --------------------------------------------------------
 
 
-def _vector_field_suite(cap):
+def _vector_field_suite():
     hq = get_presentation("hq")
-    for convention, records in verify_lie_algebra(QUANTUM_FIELD_CAP, "quantum").items():
+    for convention, records in verify_lie_algebra(QUANTUM_FIELD_CAP).items():
         for rec in records:
             yield _check(f"quantum.{convention}.{rec['relation']}",
                          "published deformed generator relations",
@@ -293,7 +295,7 @@ _SUITE_RUNS = {
 }
 
 
-def run_suite(suite: str, cap: int = 3, jobs=None) -> VerificationReport:
+def run_suite(suite: str, jobs=None) -> VerificationReport:
     """Run a suite (`all` runs every suite) and assemble the sorted report.
 
     Each record's ms is the time since the previous check of its suite.
@@ -303,12 +305,10 @@ def run_suite(suite: str, cap: int = 3, jobs=None) -> VerificationReport:
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    if cap < 0:
-        raise ValueError(f"cap must be at least 0, got {cap}")
     records = []
     for name in _SUITE_RUNS if suite == "all" else (suite,):
         start = perf_counter()
-        for record in _SUITE_RUNS[name](cap):
+        for record in _SUITE_RUNS[name]():
             now = perf_counter()
             record.ms = int((now - start) * 1000)
             start = now

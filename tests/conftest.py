@@ -15,17 +15,17 @@ import pytest
 
 import qcalc
 from qcalc import verify_hopf_axioms, verify_lie_algebra
-from qcalc.verify import QUANTUM_FIELD_CAP
+from qcalc.verify import CLASSICAL_FIELD_CAP, QUANTUM_FIELD_CAP
 
 
 @pytest.fixture(scope="session")
 def classical_lie_records():
-    return verify_lie_algebra(3, "classical")["bracket"]
+    return verify_lie_algebra(CLASSICAL_FIELD_CAP, classical=True)["bracket"]
 
 
 @pytest.fixture(scope="session")
 def quantum_lie_records():
-    return verify_lie_algebra(QUANTUM_FIELD_CAP, "quantum")
+    return verify_lie_algebra(QUANTUM_FIELD_CAP)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,6 @@ from qcalc.calculus import (
     OMEGA_BAR_CANDIDATES,
     _star_images,
     _frame_parts,
-    _monomial_basis,
     apply_field,
     cartan_maurer_d,
     conversion_closure_residuals,
@@ -148,7 +147,7 @@ def test_frame_coefficients_of_the_first_coordinate():
 @pytest.mark.parametrize("cap,classical", [(4, False), (5, True)])
 def test_incremental_frame_table_matches_the_per_word_conversion(cap, classical):
     table = _frame_parts(cap, classical)
-    basis = list(_monomial_basis(cap))
+    basis = get_presentation("hq").normal_words(cap)
     assert list(table) == [()] + basis
     for word in basis:
         oracle = coordinate_frame_coefficients(NCPoly.word(word), classical)
@@ -159,31 +158,36 @@ def test_incremental_frame_table_matches_the_per_word_conversion(cap, classical)
             assert all(len(v) == len(word) for v in table[word][k].terms), (word, k)
 
 
+# test ids of the classical flag, and of it with the cap each mode is checked at
+MODE_IDS = ["quantum", "classical"]
+CAP_IDS = ["2-quantum", "3-classical"]
+
+
 def _lie_rows(records):
     return [(row["relation"], [(w, val.terms) for w, val in row["failures"]])
             for row in records]
 
 
-@pytest.mark.parametrize("cap,mode", [(2, "quantum"), (3, "classical")])
+@pytest.mark.parametrize("cap,classical", [(2, False), (3, True)], ids=CAP_IDS)
 @pytest.mark.parametrize("convention", ["bracket", "printed"])
-def test_lie_rows_match_a_table_two_degrees_deeper(monkeypatch, cap, mode,
+def test_lie_rows_match_a_table_two_degrees_deeper(monkeypatch, cap, classical,
                                                    convention):
-    rows = _lie_rows(verify_lie_algebra(cap, mode)[convention])
+    rows = _lie_rows(verify_lie_algebra(cap, classical)[convention])
     deeper = qcalc.calculus.extract_vector_fields
     monkeypatch.setattr(qcalc.calculus, "extract_vector_fields",
                         lambda c, **kw: deeper(c + 2, **kw))
-    assert rows == _lie_rows(verify_lie_algebra(cap, mode)[convention])
+    assert rows == _lie_rows(verify_lie_algebra(cap, classical)[convention])
 
 
 @pytest.mark.parametrize("cap", [-1, -2])
-@pytest.mark.parametrize("mode", ["quantum", "classical"])
-def test_lie_algebra_rejects_a_negative_cap(cap, mode):
+@pytest.mark.parametrize("classical", [False, True], ids=MODE_IDS)
+def test_lie_algebra_rejects_a_negative_cap(cap, classical):
     with pytest.raises(ValueError, match="verify_lie_algebra cap"):
-        verify_lie_algebra(cap, mode)
+        verify_lie_algebra(cap, classical)
 
 
-@pytest.mark.parametrize("mode", ["quantum", "classical"])
-def test_lie_algebra_at_cap_zero_checks_the_constant_monomial(monkeypatch, mode):
+@pytest.mark.parametrize("classical", [False, True], ids=MODE_IDS)
+def test_lie_algebra_at_cap_zero_checks_the_constant_monomial(monkeypatch, classical):
     seen = []
     apply = qcalc.calculus.apply_field
 
@@ -192,7 +196,7 @@ def test_lie_algebra_at_cap_zero_checks_the_constant_monomial(monkeypatch, mode)
         return apply(table, p)
 
     monkeypatch.setattr(qcalc.calculus, "apply_field", spy)
-    by_convention = verify_lie_algebra(0, mode)
+    by_convention = verify_lie_algebra(0, classical)
     assert list(by_convention) == ["bracket", "printed"]
     for convention, records in by_convention.items():
         assert len(records) == 6
@@ -200,15 +204,16 @@ def test_lie_algebra_at_cap_zero_checks_the_constant_monomial(monkeypatch, mode)
         assert all(row["failures"] == [] for row in records)
     # one monomial, the constant: each composition n_i∘n_j is applied
     # once, to n_j(1), which is zero
-    rows = qcalc.calculus._lie_rows(mode == "classical")
+    rows = qcalc.calculus._lie_rows(classical)
     pairs = {key for row in rows.values() for key in row if len(key) == 2}
     assert len(seen) == len(pairs)
     assert not any(seen)
 
 
-@pytest.mark.parametrize("cap,mode", [(2, "quantum"), (3, "classical")])
-def test_printed_rows_are_the_bracket_rows_of_halved_fields(monkeypatch, cap, mode):
-    printed = verify_lie_algebra(cap, mode)["printed"]
+@pytest.mark.parametrize("cap,classical", [(2, False), (3, True)], ids=CAP_IDS)
+def test_printed_rows_are_the_bracket_rows_of_halved_fields(monkeypatch, cap,
+                                                            classical):
+    printed = verify_lie_algebra(cap, classical)["printed"]
     tabulate = qcalc.calculus.extract_vector_fields
     half = rat(1, 2)
 
@@ -217,7 +222,8 @@ def test_printed_rows_are_the_bracket_rows_of_halved_fields(monkeypatch, cap, mo
                      for table in tabulate(c, **kw))
 
     monkeypatch.setattr(qcalc.calculus, "extract_vector_fields", halved)
-    assert _lie_rows(verify_lie_algebra(cap, mode)["bracket"]) == _lie_rows(printed)
+    bracket = verify_lie_algebra(cap, classical)["bracket"]
+    assert _lie_rows(bracket) == _lie_rows(printed)
 
 
 @pytest.mark.parametrize("suite", ["classical", "vector-fields"])
@@ -337,7 +343,7 @@ def test_vector_fields_tabulate_and_compose():
     n0, n1, n2, n3 = extract_vector_fields(2)
     hq = get_presentation("hq")
     a1 = NCPoly.letter("a1", hq.name)
-    assert list(n1) == [()] + list(_monomial_basis(2))
+    assert list(n1) == [()] + hq.normal_words(2)
     assert apply_field(n1, a1) == n1[("a1",)]
     assert apply_field(n2, apply_field(n1, a1))
     with pytest.raises(KeyError):

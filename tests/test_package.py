@@ -21,7 +21,7 @@ PUBLIC = {
     "algebra": ("AlgebraError", "NCPoly", "Presentation", "PresentationError",
                 "RewritingCycleError", "UniverseMismatchError",
                 "UnknownGeneratorError", "render_poly", "substitute"),
-    "presentations": ("classical", "corrected_rule_diff", "get_presentation",
+    "presentations": ("corrected_rule_diff", "get_presentation",
                       "grassmann_vs_differentials_crosscheck",
                       "leibniz_consistency_check", "norm_poly",
                       "shipped_names", "specialize"),

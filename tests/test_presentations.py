@@ -20,7 +20,6 @@ from qcalc.presentations import (
     build_units,
     build_units_cm,
     build_units_dga,
-    classical,
     corrected_rule_diff,
     grassmann_vs_differentials_crosscheck,
     leibniz_consistency_check,
@@ -81,6 +80,42 @@ def test_every_shipped_presentation_is_locally_confluent_except_literal():
     assert len(get_presentation("dga_literal").check_local_confluence()) == 64
 
 
+# Normal words per degree 0..5, the empty word being the one of degree 0.
+# With a termination order and local confluence these are dimensions.
+# dga_literal shares dga's lhs set, so it has dga's counts, but with 64
+# failing overlaps its normal words need not be independent: for it the
+# counts are only an upper bound on the dimensions.
+NORMAL_WORD_COUNTS = {
+    "hq": (1, 4, 10, 20, 35, 56),  # C(n+3, 3)
+    "hq_localized": (1, 5, 15, 35, 70, 126),  # C(n+4, 4)
+    "units": (1, 7, 22, 50, 95, 161),
+    "grassmann": (1, 4, 6, 4, 1, 0),  # (1+t)^4
+    "dga": (1, 8, 32, 88, 192, 360),  # (1+t)^4/(1-t)^4
+    "cartan_maurer": (1, 8, 32, 88, 192, 360),
+    "units_dga": (1, 11, 56, 184, 456, 936),
+    "units_cm": (1, 11, 56, 184, 456, 936),
+    "dga_literal": (1, 8, 32, 88, 192, 360),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_WORD_COUNTS))
+def test_normal_word_counts_by_degree(name):
+    for pres in (get_presentation(name), get_presentation(f"classical-{name}")):
+        words = pres.normal_words(5)
+        counts = tuple(sum(len(w) == n for w in [()] + words) for n in range(6))
+        assert counts == NORMAL_WORD_COUNTS[name], pres.name
+        assert all(pres.is_normal(NCPoly.word(w)) for w in words)
+        assert words == sorted(words, key=lambda w: (len(w), [pres.rank(g) for g in w]))
+
+
+def test_normal_words_of_hq_are_its_ordered_monomials():
+    a3, a2, a1, a0 = (("a3",), ("a2",), ("a1",), ("a0",))
+    assert get_presentation("hq").normal_words(2) == [
+        a3, a2, a1, a0, a3 + a3, a3 + a2, a3 + a1, a3 + a0, a2 + a2, a2 + a1,
+        a2 + a0, a1 + a1, a1 + a0, a0 + a0]
+    assert get_presentation("hq").normal_words(0) == []
+
+
 def test_corrected_rule_diff_is_the_frozen_six():
     assert corrected_rule_diff() == (
         ("a2", "da1"), ("a3", "da1"),
@@ -109,7 +144,7 @@ def test_specialization_names_and_values():
     hq = get_presentation("hq")
     at2 = specialize(hq, 2)
     assert at2.name == "hq@q=2"
-    assert classical(hq).name == "classical-hq"
+    assert specialize(hq, 1).name == "classical-hq"
     cl = get_presentation("classical-hq")
     assert cl.normal_form(NCPoly.word(("a0", "a1"), universe=cl.name)) == \
         NCPoly.word(("a1", "a0"), universe=cl.name)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from qcalc import NCPoly, get_presentation, render_poly, verify
+from qcalc import NCPoly, get_presentation, render_poly
 from qcalc.calculus import star_involution_residuals, verify_omega_bar_identity
 from qcalc.hopf import antipode_square
 from qcalc.verify import SUITES, run_suite
@@ -33,17 +33,6 @@ def test_unknown_suite_is_rejected():
     with pytest.raises(ValueError, match="bogus") as exc:
         run_suite("bogus")
     assert str(SUITES) in str(exc.value)
-
-
-def test_negative_cap_is_rejected_before_any_suite_runs(monkeypatch):
-    def suite(cap):
-        raise AssertionError("a suite ran")
-
-    monkeypatch.setattr(verify, "_SUITE_RUNS",
-                        dict.fromkeys(verify._SUITE_RUNS, suite))
-    for name in SUITES:
-        with pytest.raises(ValueError, match="^cap must be at least 0, got -1$"):
-            run_suite(name, cap=-1)
 
 
 def test_grassmann_suite_statuses_are_frozen():
