@@ -166,20 +166,22 @@ def _joint_universe(a, b):
 def substitute(p: NCPoly, images: dict, pres: "Presentation" = None) -> NCPoly:
     """Algebra homomorphism replacing letters by polynomials.
 
-    Letters without an image map to themselves.  Given pres, the result
-    is tagged with its universe and reduced in it once, after the images
-    of all words are summed, so that terms cancel before any rewriting.
+    A letter's image is read as its sum of words, whatever its universe
+    tag, and a letter without an image maps to itself.  Each word's image
+    is folded one letter at a time over term maps, as leibniz_expansion
+    reads images.  Given pres, the images of all words are summed, so
+    terms cancel before any rewriting, and reduced in pres once, which
+    tags the result; without pres the result is untagged.
     """
-    universe = tag = pres.name if pres else None
     out = {}
     for w, c in p.terms.items():
-        img = NCPoly.unit(universe)
+        img = {(): LaurentScalar.one()}
         for letter in w:
             factor = images.get(letter)
-            img = img * (factor if factor is not None else NCPoly.letter(letter, universe))
-        tag = _joint_universe(tag, img.universe)
-        add_scaled(out, img.terms, c)
-    out = NCPoly._of(settle(out), tag)
+            img = convolve(img, factor.terms if factor is not None
+                           else {(letter,): LaurentScalar.one()}, operator.add)
+        add_scaled(out, img, c)
+    out = NCPoly._of(settle(out))
     return pres.normal_form(out) if pres else out
 
 

@@ -5,9 +5,10 @@ its one letter-image table, conversion between coordinate
 differentials and the invariant one-form frame, the two-form table, and
 vector-field extraction with Lie-algebra verification.
 
-Letter images are applied only by algebra.substitute (for star, over
-reversed words with conjugated coefficients).  differential and star
-reduce in the presentation they are given.
+A letter image is a sum of words, read without its universe tag by
+algebra.substitute (for star, over reversed words with conjugated
+coefficients) and by presentations.leibniz_expansion (for d).
+differential and star reduce in the presentation they are given.
 """
 
 import operator
@@ -79,7 +80,7 @@ def nilpotency_residuals():
     out = []
     for x in A:
         for y in A:
-            f = NCPoly.word((x, y), universe=pres.name)
+            f = NCPoly.word((x, y))
             out.append(((x, y), differential(differential(f, pres), pres)))
     return out
 
@@ -87,31 +88,24 @@ def nilpotency_residuals():
 # -- star antiinvolution -------------------------------------------------
 
 
-def _star_images() -> dict:
-    """The published star image of every letter that has one."""
-    a0, a1, a2, a3 = (L(g) for g in A)
-    da0, da1, da2, da3 = (L(g) for g in DA)
-    w0, w1, w2, w3 = (L(g) for g in W)
-    return {
-        "a0": a0,
-        "a1": a1,
-        "a2": C * a2 - I * S * a3,
-        "a3": I * S * a2 + C * a3,
-        "da0": qp(2) * da0,
-        "da1": qp(2) * da1,
-        "da2": qp(2) * (C * da2 - I * S * da3),
-        "da3": qp(2) * (I * S * da2 + C * da3),
-        "w0": qp(-2) * w0 + I * (qp(-2) - ONE) * w1,
-        "w1": w1,
-        "w2": w2,
-        "w3": w3,
-        **{gid: -L(gid) for gid in E},
-        N_INV: L(N_INV),
-    }
-
-
-# built once; no code changes an NCPoly after building it
-_STAR_IMAGES = _star_images()
+# The published star image of every letter that has one; no code changes
+# an NCPoly after building it.
+_STAR_IMAGES = {
+    "a0": L("a0"),
+    "a1": L("a1"),
+    "a2": C * L("a2") - I * S * L("a3"),
+    "a3": I * S * L("a2") + C * L("a3"),
+    "da0": qp(2) * L("da0"),
+    "da1": qp(2) * L("da1"),
+    "da2": qp(2) * (C * L("da2") - I * S * L("da3")),
+    "da3": qp(2) * (I * S * L("da2") + C * L("da3")),
+    "w0": qp(-2) * L("w0") + I * (qp(-2) - ONE) * L("w1"),
+    "w1": L("w1"),
+    "w2": L("w2"),
+    "w3": L("w3"),
+    **{gid: -L(gid) for gid in E},
+    N_INV: L(N_INV),
+}
 
 
 def star_table(name: str) -> dict:
@@ -148,7 +142,7 @@ def star_involution_residuals(name: str):
     table = star_table(name)
     out = []
     for gid in sorted(table):
-        g = NCPoly.letter(gid, pres.name)
+        g = L(gid)
         out.append((gid, star(star(g, table, pres), table, pres) - g))
     return out
 
@@ -159,9 +153,8 @@ def star_involution_residuals(name: str):
 def omega_forms() -> dict:
     """The four frame one-forms as coordinate-differential expressions."""
     dga = get_presentation("dga")
-    u = dga.name
-    a = [NCPoly.letter(g, u) for g in A]
-    da = [NCPoly.letter(g, u) for g in DA]
+    a = [L(g) for g in A]
+    da = [L(g) for g in DA]
     forms = {
         "w0": da[0] * a[0] + da[1] * a[1] + C * (da[2] * a[2] + da[3] * a[3])
         + I * S * (da[3] * a[2] - da[2] * a[3]),
@@ -184,12 +177,9 @@ _DA_ROWS = {
 
 
 def da_from_w() -> dict:
-    """Coordinate differentials expanded in the one-form frame."""
-    cm = get_presentation("cartan_maurer")
-    out = {}
-    for aid, row in _DA_ROWS.items():
-        out[aid] = NCPoly({(wid, bid): sgn for wid, bid, sgn in row}, cm.name)
-    return out
+    """Coordinate differentials expanded in the one-form frame, unreduced."""
+    return {aid: NCPoly({(wid, bid): sgn for wid, bid, sgn in row})
+            for aid, row in _DA_ROWS.items()}
 
 
 def cartan_maurer_d(k: int, literal: bool = False) -> NCPoly:
@@ -201,8 +191,7 @@ def cartan_maurer_d(k: int, literal: bool = False) -> NCPoly:
     Pass literal=True for the row exactly as printed.
     """
     cm = get_presentation("cartan_maurer")
-    u = cm.name
-    w0, w1, w2, w3 = (NCPoly.letter(g, u) for g in W)
+    w0, w1, w2, w3 = (L(g) for g in W)
     lead = w2 * w3 if literal else w3 * w2
     rows = [
         I * (qp(-2) - ONE) * lead,
@@ -304,29 +293,23 @@ def verify_omega_bar_identity(candidate: str) -> NCPoly:
     """
     if candidate == "star-of-omega":
         ucm = get_presentation("units_cm")
-        u = ucm.name
-        w = {k: NCPoly.letter(k, u) for k in W}
-        e = {0: NCPoly.scalar(ONE, u)}
-        for j in (1, 2, 3):
-            e[j] = NCPoly.letter(f"e{j}", u)
-        omega = sum((w[f"w{j}"] * e[j] for j in range(4)), NCPoly.zero(u))
-        table = star_table(u)
-        bar = star(omega, table, ucm)
-        rhs = (ONE - qp(-2)) * (w["w0"] + I * w["w1"])
+        w = [L(g) for g in W]
+        e = [NCPoly.scalar(ONE)] + [L(g) for g in E]
+        omega = sum((w[j] * e[j] for j in range(4)), NCPoly.zero())
+        bar = star(omega, star_table(ucm.name), ucm)
+        rhs = (ONE - qp(-2)) * (w[0] + I * w[1])
         return ucm.normal_form(omega + bar - rhs)
     if candidate == "h-dhstar":
         # omega = dh h* and the bar form h d(h*) sum to d(h h*) term by
         # term before any reduction: each d(a*_l) is a sum of single
         # letters, which no rule rewrites
         ext = unit_norm_extension("units_dga")
-        u = ext.name
-        e = [NCPoly.scalar(ONE, u)] + [NCPoly.letter(g, u) for g in E]
-        h = sum((NCPoly.letter(g, u) * e[k] for k, g in enumerate(A)), NCPoly.zero(u))
+        e = [NCPoly.scalar(ONE)] + [L(g) for g in E]
+        h = sum((L(g) * e[k] for k, g in enumerate(A)), NCPoly.zero())
         hstar = sum((rat(1 if k == 0 else -1) * e[k] * _STAR_IMAGES[g]
-                    for k, g in enumerate(A)), NCPoly.zero(u))
+                    for k, g in enumerate(A)), NCPoly.zero())
         forms = omega_forms()
-        wexp = {k: NCPoly(dict(v.terms), u) for k, v in forms.items()}
-        rhs = (ONE - qp(-2)) * (wexp["w0"] + I * wexp["w1"])
+        rhs = (ONE - qp(-2)) * (forms["w0"] + I * forms["w1"])
         return ext.normal_form(leibniz_expansion(h * hstar, ext) - rhs)
     raise ValueError(f"unknown candidate {candidate!r}; expected one of {OMEGA_BAR_CANDIDATES}")
 
@@ -338,12 +321,9 @@ def recover_differentials_on_unit_sphere() -> list:
     da_k and reduces with the unit-norm constraint; exactness of the
     round trip is a classical-limit consistency statement.
     """
-    ext = unit_norm_extension("dga", with_norm_differential=False)
-    at_one = specialize(ext, 1)
-    u = at_one.name
-    forms = omega_forms()
-    images = {k: NCPoly(dict(v.terms), u) for k, v in forms.items()}
-    return [(aid, substitute(row, images, at_one) - NCPoly.letter("d" + aid, u))
+    at_one = specialize(unit_norm_extension("dga", with_norm_differential=False), 1)
+    images = omega_forms()
+    return [(aid, substitute(row, images, at_one) - L("d" + aid))
             for aid, row in da_from_w().items()]
 
 
@@ -365,12 +345,8 @@ def coordinate_frame_coefficients(f: NCPoly, classical: bool = False) -> dict:
     prefix = "classical-" if classical else ""
     dga = get_presentation(prefix + "dga")
     cm = get_presentation(prefix + "cartan_maurer")
-    rows = da_from_w()
-    images = {
-        "d" + aid: NCPoly(dict(row.terms), cm.name) for aid, row in rows.items()
-    }
-    df = differential(NCPoly(dict(f.terms), dga.name), dga)
-    converted = substitute(df, images, cm)
+    images = {"d" + aid: row for aid, row in da_from_w().items()}
+    converted = substitute(differential(f, dga), images, cm)
     parts = {k: NCPoly.zero() for k in W}
     for w, c in converted.terms.items():
         head, tail = w[0], w[1:]

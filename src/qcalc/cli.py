@@ -209,7 +209,8 @@ _FLAGS = {"-h", "--help", "--version", "--algebra", "--at-q", "--unicode",
 
 
 def _pad_expression_args(argv):
-    """Leading space shields minus-led expressions from flag parsing."""
+    """Leading space shields minus-led expressions from flag parsing;
+    main has refused every --option not in _FLAGS before it runs."""
     out = []
     for tok in argv:
         if tok.startswith("-") and tok.split("=", 1)[0] not in _FLAGS:
@@ -220,7 +221,11 @@ def _pad_expression_args(argv):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _build_argparser().parse_args(_pad_expression_args(argv))
+    parser = _build_argparser()
+    for tok in argv:
+        if tok.startswith("--") and tok.split("=", 1)[0] not in _FLAGS:
+            parser.error(f"unrecognized arguments: {tok}")
+    args = parser.parse_args(_pad_expression_args(argv))
     try:
         return args.fn(args)
     except (CliError, ParseError, PresentationError, AlgebraError, OverflowError) as exc:

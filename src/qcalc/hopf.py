@@ -4,8 +4,8 @@ Tensor powers with legwise reduction, the coproduct, counit, and
 antipode, localization by the central norm, and the axiom suite that
 checks every structural claim and reports residuals.
 
-The coproduct is TensorPoly.map_leg of its constant, cached generator
-images; the antipode is algebra.substitute of its own cached images over
+The coproduct is TensorPoly.map_leg of its constant generator images;
+the antipode is algebra.substitute of its own constant images over
 reversed words.  The convolution f⋆g = m∘(f⊗g)∘Δ of two linear maps
 takes each term c·u⊗v of the coproduct to c·f(u)·g(v); the counit
 axioms read ε⋆id = id = id⋆ε and the antipode axioms S⋆id = ε·1 = id⋆S.
@@ -191,19 +191,17 @@ def tensor(*factors: NCPoly) -> TensorPoly:
     return TensorPoly._of(terms, len(factors))
 
 
-@functools.cache
-def _coproduct_images():
-    a0, a1, a2, a3 = (L(g) for g in A)
-    return {
-        "a0": tensor(a0, a0) - tensor(a1, a1) - tensor(a2, a2)
-        - tensor(a3, a3),
-        "a1": tensor(a0, a1) + tensor(a1, a0) + tensor(a2, a3)
-        - tensor(a3, a2),
-        "a2": tensor(a0, a2) + tensor(a2, a0) + tensor(a3, a1)
-        - tensor(a1, a3),
-        "a3": tensor(a0, a3) + tensor(a3, a0) + tensor(a1, a2)
-        - tensor(a2, a1),
-    }
+def _t(x, y):
+    return tensor(L(x), L(y))
+
+
+# the published coproduct of each coordinate
+_COPRODUCT_IMAGES = {
+    "a0": _t("a0", "a0") - _t("a1", "a1") - _t("a2", "a2") - _t("a3", "a3"),
+    "a1": _t("a0", "a1") + _t("a1", "a0") + _t("a2", "a3") - _t("a3", "a2"),
+    "a2": _t("a0", "a2") + _t("a2", "a0") + _t("a3", "a1") - _t("a1", "a3"),
+    "a3": _t("a0", "a3") + _t("a3", "a0") + _t("a1", "a2") - _t("a2", "a1"),
+}
 
 
 def coproduct(p: NCPoly, pres: Presentation = None) -> TensorPoly:
@@ -211,7 +209,7 @@ def coproduct(p: NCPoly, pres: Presentation = None) -> TensorPoly:
     (hq by default)."""
     pres = pres or get_presentation("hq")
     lifted = TensorPoly({(w,): c for w, c in p.terms.items()}, 1)
-    return lifted.map_leg(0, _coproduct_images(), pres)
+    return lifted.map_leg(0, _COPRODUCT_IMAGES, pres)
 
 
 def convolution(f, g, delta: TensorPoly) -> NCPoly:
@@ -235,22 +233,19 @@ def counit(p: NCPoly) -> LaurentScalar:
     return total
 
 
-@functools.cache
-def _antipode_images():
-    n_inv = L("n_inv")
-    images = {}
-    for gid in A:
-        body = rat(2 if gid == "a0" else 0) * L("a0") - _STAR_IMAGES[gid]
-        images[gid] = n_inv * body
-    images["n_inv"] = norm_poly()
-    return images
+# S(a_k) = n_inv·(2δ_k0·a0 - a_k*), read off the star images, and S(n_inv) = N
+_ANTIPODE_IMAGES = {
+    **{gid: L("n_inv") * (rat(2 if gid == "a0" else 0) * L("a0") - _STAR_IMAGES[gid])
+       for gid in A},
+    "n_inv": norm_poly(),
+}
 
 
 def antipode(p: NCPoly) -> NCPoly:
     """Antihomomorphism extension of the generator images, norm-reduced."""
     flipped = NCPoly._of({w[::-1]: c for w, c in p.terms.items()})
     loc = get_presentation("hq_localized")
-    return reduce_norm_factors(substitute(flipped, _antipode_images(), loc))
+    return reduce_norm_factors(substitute(flipped, _ANTIPODE_IMAGES, loc))
 
 
 def reduce_norm_factors(p: NCPoly) -> NCPoly:
@@ -290,9 +285,8 @@ def reduce_norm_factors(p: NCPoly) -> NCPoly:
                 terms = dict(p.terms)
                 for word, coeff in bundle.items():
                     add_term(terms, word, -coeff)
-                acc = NCPoly(terms, p.universe) + NCPoly.word(
-                    base + tail[1:], c, p.universe)
-                p = loc.normal_form(acc)
+                add_term(terms, base + tail[1:], c)
+                p = loc.normal_form(NCPoly._of(terms))
                 changed = True
                 break
             if changed:
@@ -314,7 +308,6 @@ def verify_hopf_axioms():
     hq = get_presentation("hq")
     loc = get_presentation("hq_localized")
     table = star_table("hq")
-    images = _coproduct_images()
     n = norm_poly()
     records = []
 
@@ -325,7 +318,7 @@ def verify_hopf_axioms():
         suffix = f"relation.{lhs[0]}.{lhs[1]}"
         record(f"coproduct.{suffix}", coproduct(rel))
         eps = counit(NCPoly.word(lhs)) - counit(hq.rules[lhs])
-        record(f"counit.{suffix}", NCPoly.scalar(eps, hq.name))
+        record(f"counit.{suffix}", NCPoly.scalar(eps))
         record(f"star.{suffix}", star(rel, table, hq))
 
     def counit_of(w):
@@ -335,14 +328,14 @@ def verify_hopf_axioms():
         return antipode(NCPoly.word(w))
 
     for gid in A:
-        g = NCPoly.letter(gid, hq.name)
+        g = L(gid)
         delta = coproduct(g)
-        left3 = delta.map_leg(0, images, hq)
-        right3 = delta.map_leg(1, images, hq)
+        left3 = delta.map_leg(0, _COPRODUCT_IMAGES, hq)
+        right3 = delta.map_leg(1, _COPRODUCT_IMAGES, hq)
         record(f"coproduct.coassociativity.{gid}", left3 - right3)
         record(f"counit.left.{gid}", convolution(counit_of, NCPoly.word, delta) - g)
         record(f"counit.right.{gid}", convolution(NCPoly.word, counit_of, delta) - g)
-        target = NCPoly.scalar(counit(g), loc.name)
+        target = NCPoly.scalar(counit(g))
         record(f"antipode.left.{gid}", reduce_norm_factors(
             convolution(antipode_of, NCPoly.word, delta)) - target)
         record(f"antipode.right.{gid}", reduce_norm_factors(
@@ -352,13 +345,11 @@ def verify_hopf_axioms():
         record(f"antipode.square.{gid}", antipode_square(gid), "informational")
 
     record("norm.grouplike", coproduct(n) - tensor(n, n).normal_form(hq))
-    record("norm.counit", NCPoly.scalar(counit(n) - ONE, hq.name))
+    record("norm.counit", NCPoly.scalar(counit(n) - ONE))
     record("norm.star", star(n, table, hq) - n)
 
-    sample = NCPoly.word(("a3", "a1"), universe=loc.name) + rat(2) * NCPoly.letter(
-        "a0", loc.name)
-    n_inv = NCPoly.letter("n_inv", loc.name)
+    sample = NCPoly.word(("a3", "a1")) + rat(2) * L("a0")
+    n_inv = L("n_inv")
     record("localized.centrality", loc.normal_form(n_inv * sample - sample * n_inv))
-    record("localized.cancel",
-           reduce_norm_factors(n * n_inv) - NCPoly.scalar(ONE, loc.name))
+    record("localized.cancel", reduce_norm_factors(n * n_inv) - NCPoly.scalar(ONE))
     return records

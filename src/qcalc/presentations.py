@@ -119,12 +119,6 @@ def _unit_rules():
     return entries
 
 
-def build_units() -> Presentation:
-    """Coordinate algebra tensored with the quaternion units."""
-    return _with_units(get_presentation("hq"), "units",
-                       "q-quaternion coordinates with central quaternion units")
-
-
 # -- differential algebra ----------------------------------------------
 
 def _pm_basis(p0: NCPoly, p1: NCPoly):
@@ -371,11 +365,12 @@ def build_grassmann() -> Presentation:
 
 # -- combined universes -------------------------------------------------
 
-def _with_units(base: Presentation, name: str, description: str) -> Presentation:
-    """Adjoin the central quaternion units to an existing presentation.
+def _with_units(base_name: str, name: str, description: str) -> Presentation:
+    """Adjoin the central quaternion units to a catalog presentation.
 
     The units rank after the graded generators and before the grade-0 ones.
     """
+    base = get_presentation(base_name)
     ranked = sorted(base.generators, key=lambda g: g.rank)
     groups = ([([g.id], g.grade) for g in ranked if g.grade]
               + [(E[::-1], 0)]
@@ -388,16 +383,6 @@ def _with_units(base: Presentation, name: str, description: str) -> Presentation
             else:
                 rules[(e, g.id)] = L(g.id) * L(e)
     return Presentation(name, _gens(*groups), rules, description)
-
-
-def build_units_dga() -> Presentation:
-    return _with_units(get_presentation("dga"), "units_dga",
-                       "differential algebra with central quaternion units")
-
-
-def build_units_cm() -> Presentation:
-    return _with_units(get_presentation("cartan_maurer"), "units_cm",
-                       "one-form algebra with central quaternion units")
 
 
 # -- localization -------------------------------------------------------
@@ -445,14 +430,17 @@ def specialize(pres: Presentation, q0) -> Presentation:
 
 _CATALOG_BUILDERS = {
     "hq": build_hq,
-    "units": build_units,
+    "units": lambda: _with_units(
+        "hq", "units", "q-quaternion coordinates with central quaternion units"),
     "dga": build_dga,
     "dga_literal": lambda: build_dga(literal=True),
     "cartan_maurer": build_cartan_maurer,
     "grassmann": build_grassmann,
     "hq_localized": build_hq_localized,
-    "units_dga": build_units_dga,
-    "units_cm": build_units_cm,
+    "units_dga": lambda: _with_units(
+        "dga", "units_dga", "differential algebra with central quaternion units"),
+    "units_cm": lambda: _with_units(
+        "cartan_maurer", "units_cm", "one-form algebra with central quaternion units"),
 }
 
 _SHIPPED = ["hq", "units", "dga", "cartan_maurer", "grassmann"]

@@ -95,8 +95,7 @@ def _dga_suite():
          for lhs in sorted(hq.rules)), hq)
     yield from _exact_rows(
         "relations.classical", "published coordinate relations at q = 1",
-        ((lhs, cl.normal_form(NCPoly.word(lhs, universe=cl.name))
-          - NCPoly.word(lhs[::-1], universe=cl.name))
+        ((lhs, cl.normal_form(NCPoly.word(lhs)) - NCPoly.word(lhs[::-1]))
          for lhs in sorted(hq.rules)), cl)
 
     # Each shared stage runs once per suite run, just before the first
@@ -168,7 +167,7 @@ def _dga_suite():
                  for _ in range(100)]
         moves = {}  # each distinct word reduced once, in order of first draw
         for word in dict.fromkeys(words):
-            p = pres.normal_form(NCPoly.word(word, universe=pres.name))
+            p = pres.normal_form(NCPoly.word(word))
             moves[word] = bool(star(star(p, table, pres), table, pres) - p)
         moved = sum(moves[word] for word in words)
         yield _check(f"star_roundtrip.{name}", "published star tables",

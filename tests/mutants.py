@@ -1,22 +1,26 @@
 """Mutation adequacy of the `verify all` report: which rules and which
-Hopf image tables do its checks constrain?
+letter image tables do its checks constrain?
 
 Each mutant rebuilds one catalog presentation with one rule changed, or
-one of the generator image tables of the coproduct (hopf._coproduct_images)
-and the antipode (hopf._antipode_images) with one image changed, runs
+changes one image in one of the constant letter image tables of the
+coproduct (hopf._COPRODUCT_IMAGES), the antipode (hopf._ANTIPODE_IMAGES)
+or the star (calculus._STAR_IMAGES), in place; it then runs
 run_suite("all") in a fresh interpreter and compares every check's status
 and residual with the unmutated report (perfbench/expected/verify_all.json).
 An operator changes the first rhs term of the rule, or the first term of
 the image, in the order render_poly and TensorPoly.render print it (the
-coproduct's in hq, the antipode's in hq_localized):
+coproduct's in hq, the antipode's in hq_localized, a star image's in the
+catalog universe that holds its letters: dga for a and da, cartan_maurer
+for w, units for e, hq_localized for n_inv):
 
     negate   the coefficient times -1
     times-q  the coefficient times q
     drop     the term removed
 
 Presentations built on a mutated one (its classical-* specialization, the
-units and unit-norm extensions) see the mutant too.  Each mutant is
-classed by what it changes:
+units and unit-norm extensions) see the mutant too, and so do the antipode
+images, which are built from the star images when hopf loads: a star
+mutant is applied before that.  Each mutant is classed by what it changes:
 
     crash       run_suite("all") raised instead of reporting
     killed      some check other than confluence.* changed status
@@ -46,7 +50,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ORACLE = ROOT / "perfbench" / "expected" / "verify_all.json"
 
 PRESENTATIONS = ("hq", "units", "dga", "cartan_maurer", "grassmann")
-TABLES = ("_coproduct_images", "_antipode_images")
+TABLES = ("_COPRODUCT_IMAGES", "_ANTIPODE_IMAGES", "_STAR_IMAGES")
 OPERATORS = ("negate", "times-q", "drop")
 CLASSES = ("crash", "killed", "confluence", "residual", "survived")
 
@@ -55,7 +59,7 @@ CLASSES = ("crash", "killed", "confluence", "residual", "survived")
 # {check id: [status, residual]}.
 CHILD = """
 import json, sys
-from qcalc import LaurentScalar, NCPoly, Presentation, get_presentation, hopf, run_suite
+from qcalc import LaurentScalar, NCPoly, Presentation, calculus, get_presentation, hopf
 from qcalc import presentations
 
 name, key, op = sys.argv[1], tuple(json.loads(sys.argv[2])), sys.argv[3]
@@ -82,17 +86,19 @@ if name in presentations._CATALOG_BUILDERS:
 
     presentations._CATALOG_BUILDERS[name] = mutated
     presentations._cache.clear()
+elif name == "_COPRODUCT_IMAGES":
+    image = hopf._COPRODUCT_IMAGES[key[0]]
+    hq = get_presentation("hq")
+    terms = changed(image.terms, lambda k: tuple(map(hq.word_sort_key, k)))
+    hopf._COPRODUCT_IMAGES[key[0]] = hopf.TensorPoly(terms, image.legs)
 else:
-    images = dict(getattr(hopf, name)())
-    image = images[key[0]]
-    if name == "_coproduct_images":
-        hq = get_presentation("hq")
-        terms = changed(image.terms, lambda k: tuple(map(hq.word_sort_key, k)))
-        images[key[0]] = hopf.TensorPoly(terms, image.legs)
-    else:
-        loc = get_presentation("hq_localized")
-        images[key[0]] = NCPoly(changed(image.terms, loc.word_sort_key))
-    setattr(hopf, name, lambda: images)
+    # a star mutant reads no name of hopf, so hopf loads after it
+    images = getattr(calculus if name == "_STAR_IMAGES" else hopf, name)
+    gid = key[0]
+    home = ("hq_localized" if name == "_ANTIPODE_IMAGES" or gid == "n_inv"
+            else {"w": "cartan_maurer", "e": "units"}.get(gid[0], "dga"))
+    images[gid] = NCPoly(changed(images[gid].terms, get_presentation(home).word_sort_key))
+from qcalc import run_suite
 report = run_suite("all")
 print(json.dumps({c.id: [c.status, c.residual] for c in report.checks}))
 """
@@ -109,7 +115,7 @@ def mutants():
     (presentation, lhs) pairs whose rule has a zero rhs.  The key is a
     rule's lhs or, in an image table, the one-letter tuple of the image's
     letter."""
-    from qcalc import get_presentation, hopf
+    from qcalc import calculus, get_presentation, hopf
     reachable, zero = [], []
     for name in PRESENTATIONS:
         rules = get_presentation(name).rules
@@ -119,8 +125,8 @@ def mutants():
             else:
                 zero.append((name, lhs))
     for name in TABLES:
-        reachable += [(name, (gid,), op) for gid in sorted(getattr(hopf, name)())
-                      for op in OPERATORS]
+        images = getattr(calculus if name == "_STAR_IMAGES" else hopf, name)
+        reachable += [(name, (gid,), op) for gid in sorted(images) for op in OPERATORS]
     return reachable, zero
 
 

@@ -1,13 +1,14 @@
+import random
+
 import pytest
 
 import qcalc.calculus
 import qcalc.presentations
 from qcalc import (NCPoly, Presentation, PresentationError, UniverseMismatchError,
-                   get_presentation, render_poly)
+                   get_presentation, parse, render_poly, substitute)
 from qcalc.calculus import (
     _STAR_IMAGES,
     OMEGA_BAR_CANDIDATES,
-    _star_images,
     _frame_parts,
     apply_field,
     cartan_maurer_d,
@@ -28,7 +29,8 @@ from qcalc.calculus import (
     verify_lie_algebra,
     verify_omega_bar_identity,
 )
-from qcalc.presentations import norm_poly, rat, shipped_names
+from qcalc.hopf import _ANTIPODE_IMAGES, _COPRODUCT_IMAGES
+from qcalc.presentations import I, L, norm_poly, qp, rat, shipped_names, specialize
 from qcalc.verify import run_suite
 
 
@@ -78,9 +80,82 @@ def test_literal_dga_has_the_star_table_of_dga():
     assert star_table("classical-dga_literal") == star_table("classical-dga")
 
 
-def test_star_images_are_unchanged_by_a_full_run():
+def test_a_full_run_writes_into_no_letter_image_table():
+    tables = (_STAR_IMAGES, _COPRODUCT_IMAGES, _ANTIPODE_IMAGES)
+
+    def snapshot():
+        return [{gid: {key: c.render() for key, c in image.terms.items()}
+                 for gid, image in table.items()} for table in tables]
+
+    before = snapshot()
     run_suite("all")
-    assert _STAR_IMAGES == _star_images()
+    assert snapshot() == before
+
+
+# -- substitute ---------------------------------------------------------------
+
+
+def retagged(images, universe):
+    return {k: NCPoly(dict(v.terms), universe) for k, v in images.items()}
+
+
+def test_substitute_reads_images_tagged_elsewhere_as_word_sums():
+    # omega_forms() is reduced, so tagged, in dga; the rows reduce in the
+    # q = 1 unit-norm quotient of dga, a universe of another name
+    at_one = specialize(unit_norm_extension("dga", with_norm_differential=False), 1)
+    forms = omega_forms()
+    assert {v.universe for v in forms.values()} == {"dga"}
+    for aid, row in da_from_w().items():
+        got = substitute(row, forms, at_one)
+        assert got == substitute(row, retagged(forms, at_one.name), at_one), aid
+        assert got == L("d" + aid), aid
+
+
+def test_substitute_maps_a_letter_without_an_image_to_itself():
+    p = NCPoly.word(("a0", "x", "a1")) + NCPoly.word(("x",), 3)
+    got = substitute(p, {"a0": L("a2") * L("a3"), "a1": -L("y")})
+    assert got == -NCPoly.word(("a2", "a3", "x", "y")) + NCPoly.word(("x",), 3)
+    hq = get_presentation("hq")
+    assert substitute(NCPoly.word(("a0", "a1")), {}, hq) == hq.normal_form(
+        NCPoly.word(("a0", "a1")))
+
+
+def test_substitute_reduces_and_tags_only_given_a_presentation():
+    hq = get_presentation("hq")
+    p = parse("a0*a2 - q*a3*a1*a0", hq)
+    images = retagged(star_table("hq"), hq.name)
+    bare = substitute(p, images)
+    assert bare.universe is None and not hq.is_normal(bare)
+    reduced = substitute(p, images, hq)
+    assert reduced.universe == hq.name and hq.is_normal(reduced)
+    assert reduced == hq.normal_form(bare)
+
+
+def letterwise_substitute(p, images):
+    """substitute by NCPoly products, one letter at a time."""
+    out = NCPoly.zero()
+    for w, c in p.terms.items():
+        img = NCPoly.unit()
+        for letter in w:
+            img = img * images.get(letter, L(letter))
+        out = out + img * c
+    return out
+
+
+@pytest.mark.parametrize("name", ["dga", "cartan_maurer"])
+def test_substitute_is_the_letter_by_letter_product_of_the_images(name):
+    pres = get_presentation(name)
+    gens = pres.generator_ids()
+    rng = random.Random(3501)
+    pool = (rat(1), rat(-2), I * qp(1))
+    for _ in range(30):
+        p = NCPoly.zero()
+        for _ in range(rng.randint(1, 3)):
+            w = tuple(rng.choice(gens) for _ in range(rng.randint(0, 3)))
+            p = p + NCPoly.word(w, rng.choice(pool))
+        want = letterwise_substitute(p, _STAR_IMAGES)
+        assert substitute(p, _STAR_IMAGES).terms == want.terms, p
+        assert substitute(p, _STAR_IMAGES, pres) == pres.normal_form(want), p
 
 
 def test_star_worked_value_on_the_third_coordinate():

@@ -167,6 +167,29 @@ def test_leading_minus_expressions_survive_argument_parsing(capsys):
     assert (code, out.strip()) == (0, "-a0")
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["nf", "-a0*a1"], "(1/2)*i*q*a3^2 - (1/2)*i*q^-1*a3^2 "
+                       "+ (1/2)*i*q*a2^2 - (1/2)*i*q^-1*a2^2 - a1*a0"),
+    (["nf", "-q"], "-(1)*q"),
+    (["check", "-a0", "-a0"], "EQUAL"),
+    (["nf", "--at-q=2", "a0*a1"], "-(3/4)*i*a3^2 - (3/4)*i*a2^2 + a1*a0"),
+], ids=["nf-minus-product", "nf-minus-q", "check-minus", "at-q-equals"])
+def test_dash_led_expressions_and_known_options_parse(capsys, argv, want):
+    assert run(capsys, *argv)[:2] == (0, want + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--cap", "3"], ["nf", "--literal-paper", "a0"], ["nf", "--bogus", "a0"],
+    ["nf", "--bogus=3", "a0"], ["verify", "--unicode"]])
+def test_an_unknown_option_is_named_not_read_as_an_expression(capsys, argv):
+    # an expression cannot start with --: -(-a0) reads as --a0 would
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == f"qcalc: error: unrecognized arguments: {argv[1]}"
+
+
 def test_a_rewriting_cycle_exits_2(capsys, monkeypatch):
     cycle = Presentation.from_obj({
         "name": "cycle",
@@ -314,7 +337,8 @@ def test_at_q_past_the_digit_limit_is_a_usage_error(capsys, q0):
 
 
 def test_flags_lists_every_option_of_the_parser():
-    # _pad_expression_args reads any other dash-led token as an expression
+    # main refuses any other --option, and _pad_expression_args reads any
+    # other dash-led token as an expression
     top = _build_argparser()
     parsers = [top]
     for action in top._actions:
@@ -330,6 +354,13 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == "qcalc 0.1.0"
+
+
+def test_help_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["nf", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qcalc nf [-h]")
 
 
 def test_import_leaves_unused_standard_modules_unloaded(run_cold):

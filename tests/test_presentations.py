@@ -16,10 +16,8 @@ from qcalc import (
     shipped_names,
 )
 from qcalc.presentations import (
+    _CATALOG_BUILDERS,
     CONSTANT_LETTERS,
-    build_units,
-    build_units_cm,
-    build_units_dga,
     corrected_rule_diff,
     grassmann_vs_differentials_crosscheck,
     leibniz_consistency_check,
@@ -54,7 +52,8 @@ def test_oracles_and_unit_universes_reuse_catalog_presentations(monkeypatch):
     corrected_rule_diff()
     grassmann_vs_differentials_crosscheck()
     assert built == []
-    build_units(), build_units_dga(), build_units_cm()
+    for name in ("units", "units_dga", "units_cm"):
+        _CATALOG_BUILDERS[name]()
     assert built == ["units", "units_dga", "units_cm"]
 
 
@@ -305,8 +304,9 @@ def test_grassmann_crosscheck_reads_an_absent_square_coefficient_as_zero(
 
 
 def test_shipped_presentation_files_match_the_builders():
-    files = sorted(DATA_DIR.glob("*.json"))
-    assert [f.stem for f in files] == sorted(shipped_names())
+    # the directory holds exactly one file per shipped name, nothing else
+    files = sorted(DATA_DIR.iterdir())
+    assert [f.name for f in files] == sorted(f"{n}.json" for n in shipped_names())
     for f in files:
         assert get_presentation(f.stem).dump_json() == f.read_text(), f.stem
 
