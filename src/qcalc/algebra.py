@@ -326,15 +326,29 @@ class Presentation:
                 add_scaled(out, self._nf_word(w), c)
             settle(out)
         if trace is not None:
-            seen, todo = set(), list(p.terms)
-            while todo:
-                w = todo.pop()
-                i = None if w in seen else self._first_redex(w)
-                if i is not None:
-                    seen.add(w)
-                    trace.add(w[i:i + 2])
-                    todo += [w[:i] + rw + w[i + 2:] for rw in self.rules[w[i:i + 2]].terms]
+            trace.update(w[i:i + 2] for w, i in self._rewritten(p.terms))
         return NCPoly._of(out, self.name)
+
+    def _rewritten(self, words):
+        """(w, i) for every reducible word w on the leftmost rewrite graph
+        of words, i its first redex: each w once, after every word it
+        rewrites to (a depth-first post-order; on a cycle, the edge back
+        to a word still being walked is skipped)."""
+        out, seen = [], set()
+        for root in words:
+            stack = [(root, None)]
+            while stack:
+                w, i = stack.pop()
+                if i is not None:
+                    out.append((w, i))
+                elif w not in seen:
+                    seen.add(w)
+                    i = self._first_redex(w)
+                    if i is not None:
+                        stack.append((w, i))
+                        stack += [(w[:i] + rw + w[i + 2:], None)
+                                  for rw in self.rules[w[i:i + 2]].terms]
+        return out
 
     def _nf_word(self, word):
         # _nf_cache maps a word to its normal form terms.  Pending words are
@@ -403,15 +417,30 @@ class Presentation:
         """Reduce every overlap both ways; return nonzero residuals.
 
         Result: list of (overlap word, residual NCPoly), empty when the
-        rewriting system is locally confluent.
+        rewriting system is locally confluent.  The residual of x*y*z is
+        the normal form of r*z - x*v, for the rules x*y -> r and y*z -> v.
+        Each word these differences reach is rewritten once, reducts first,
+        over cached normal forms; a cycle only ends that pass, and the
+        residual sums then raise RewritingCycleError as normal_form would.
         """
-        failures = []
+        diffs = []
         for (x, y, z) in self.overlap_words():
-            left = self.rules[(x, y)] * NCPoly.letter(z)
-            right = NCPoly.letter(x) * self.rules[(y, z)]
-            residual = self.normal_form(left - right)
-            if residual:
-                failures.append(((x, y, z), residual))
+            diff = {w + (z,): c for w, c in self.rules[(x, y)].terms.items()}
+            for w, c in self.rules[(y, z)].terms.items():
+                add_term(diff, (x,) + w, -c)
+            diffs.append(((x, y, z), diff))
+        try:
+            for w, _ in self._rewritten(w for _, diff in diffs for w in diff):
+                self._nf_word(w)
+        except RewritingCycleError:
+            pass
+        failures = []
+        for xyz, diff in diffs:
+            out = {}
+            for w, c in diff.items():
+                add_scaled(out, self._nf_word(w), c)
+            if settle(out):
+                failures.append((xyz, NCPoly._of(out, self.name)))
         return failures
 
     # -- serialization -----------------------------------------------

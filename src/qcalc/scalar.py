@@ -39,9 +39,10 @@ factor equal to 1 hands back the other factor itself; two constants,
 the only coefficients at a specialized q, multiply as Gaussian rationals
 in one step (_constant_product), as two constants add in one; any other
 product is added into an empty raw sum by the integer loop of add_scaled
-(_add_product).  Sums use the same kernel: any sum but one of two
-constants copies the first summand into a raw sum, adds the second times
-1 into it and settles it.
+(_add_product).  Any sum but one of two constants copies the first
+summand's numerators, brings them to the lcm of the two denominators,
+adds the second summand's numerators into them and makes the raw sum
+canonical.
 
 Handing back a factor is safe because a LaurentScalar is immutable:
 nothing writes to _re or _im after _canonical or __init__ builds them,
@@ -326,9 +327,21 @@ class LaurentScalar:
             if d1 == d2:
                 return _constant(a + c, b + d, d1)
             return _constant(a * d2 + c * d1, b * d2 + d * d1, d1 * d2)
-        s = _raw(self)
-        _add_product(s, other, _ONE)
-        return _from_sum(s)
+        re, im = dict(a), dict(b)
+        if d1 % d2:
+            m = lcm(d1, d2)
+            f = m // d1
+            for n in re:
+                re[n] *= f
+            for n in im:
+                im[n] *= f
+            d1 = m
+        g = d1 // d2
+        for n, v in c.items():
+            re[n] = re.get(n, 0) + v * g
+        for n, v in d.items():
+            im[n] = im.get(n, 0) + v * g
+        return _from_sum([re, im, d1])
 
     __radd__ = __add__
 
@@ -509,10 +522,6 @@ class LaurentScalar:
 
     def __repr__(self) -> str:
         return f"LaurentScalar({self.render()!r})"
-
-
-# The constant 1, the second factor of a sum's one product (__add__).
-_ONE = LaurentScalar.one()
 
 
 class GaussRational:

@@ -6,6 +6,9 @@ words.  Leftmost normal form is linear, so the engine, which merges
 pending words and reuses cached normal forms, must give the same result
 in confluent and non-confluent universes alike, and trace the same
 rules.  A rewriting that never ends must raise RewritingCycleError.
+check_local_confluence, which rewrites the words its overlaps reach
+reducts first and sums residuals from cached word normal forms, must
+give what one normal_form per overlap gives.
 """
 
 import itertools
@@ -18,8 +21,9 @@ from qcalc import (NCPoly, Presentation, RewritingCycleError, get_presentation,
 from qcalc.algebra import Generator
 from qcalc.calculus import unit_norm_extension
 from qcalc.cli import main
-from qcalc.presentations import (build_dga, build_hq, leibniz_consistency_check,
-                                  leibniz_expansion)
+from qcalc.presentations import (_CATALOG_BUILDERS, build_dga, build_hq,
+                                  leibniz_consistency_check, leibniz_expansion,
+                                  shipped_names)
 from qcalc.scalar import LaurentScalar, add_term
 
 
@@ -99,18 +103,58 @@ def test_deep_words_reduce_under_the_default_limit(build, letters, size):
     (lambda: unit_norm_extension("units_dga"), 3),
 ], ids=["hq", "dga", "dga_literal", "units_dga+unit_norm"])
 def test_normal_forms_and_traces_do_not_depend_on_cache_warmth(build, length):
-    cold, warm = build(), build()
+    # warm has normal-formed every shorter word; checked has run the
+    # confluence check, which caches words no normal_form call asked for
+    cold, warm, checked = build(), build(), build()
     gens = warm.generator_ids()
     for n in range(1, length):
         for word in itertools.product(gens, repeat=n):
             warm.normal_form(NCPoly.word(word))
+    checked.check_local_confluence()
     rng = random.Random(length)
     for _ in range(20):
         word = NCPoly.word([rng.choice(gens) for _ in range(length)])
-        cold_rules, warm_rules = set(), set()
+        cold_rules = set()
         nf = cold.normal_form(word, trace=cold_rules)
-        assert warm.normal_form(word, trace=warm_rules) == nf, word
-        assert cold_rules == warm_rules, word
+        for pres in (warm, checked):
+            rules = set()
+            assert pres.normal_form(word, trace=rules) == nf, (pres, word)
+            assert rules == cold_rules, (pres, word)
+
+
+def reference_confluence(pres):
+    """check_local_confluence's result, one normal_form per overlap."""
+    out = []
+    for x, y, z in pres.overlap_words():
+        residual = pres.normal_form(pres.rules[(x, y)] * NCPoly.letter(z)
+                                    - NCPoly.letter(x) * pres.rules[(y, z)])
+        if residual:
+            out.append(((x, y, z), residual))
+    return out
+
+
+def assert_same_failures(got, want):
+    assert [xyz for xyz, _ in got] == [xyz for xyz, _ in want]
+    for (xyz, residual), (_, expected) in zip(got, want):
+        assert residual.terms == expected.terms, xyz
+        assert residual.universe == expected.universe, xyz
+
+
+def _fresh(name):
+    if name.startswith("classical-"):
+        return specialize(_CATALOG_BUILDERS[name[len("classical-"):]](), 1)
+    if name == "units_dga+unit_norm":
+        return unit_norm_extension("units_dga")
+    return _CATALOG_BUILDERS[name]()
+
+
+@pytest.mark.parametrize("name", [
+    *_CATALOG_BUILDERS, *(n for n in shipped_names() if n.startswith("classical-")),
+    "units_dga+unit_norm"])
+def test_confluence_check_matches_the_overlap_by_overlap_reference(name):
+    want = reference_confluence(_fresh(name))
+    assert len(want) == (64 if name in ("dga_literal", "units_dga+unit_norm") else 0)
+    assert_same_failures(_fresh(name).check_local_confluence(), want)
 
 
 def test_the_cache_stores_each_word_and_coefficient_once():
@@ -190,27 +234,50 @@ def _reaches_a_cycle(pres, word):
     return visit(tuple(word))
 
 
-def test_random_universes_report_only_real_cycles():
+LETTERS = ("x", "y", "z")
+
+
+def random_universes():
+    """300 seeded random universes over x, y and z, as builders of fresh copies."""
     rng = random.Random(19)
-    letters = ("x", "y", "z")
-    pairs = list(itertools.product(letters, repeat=2))
-    rhs_words = [()] + [(g,) for g in letters] + pairs
-    raised = 0
+    pairs = list(itertools.product(LETTERS, repeat=2))
+    rhs_words = [()] + [(g,) for g in LETTERS] + pairs
+    gens = [Generator(g, 0, r) for r, g in enumerate(LETTERS)]
     for n in range(300):
         rules = {}
         for lhs in rng.sample(pairs, rng.randint(1, 5)):
             words = rng.sample([w for w in rhs_words if w != lhs], rng.randint(1, 2))
             rules[lhs] = NCPoly({w: rng.choice((-2, -1, 1, 2)) for w in words})
-        pres = Presentation(f"random{n}",
-                            [Generator(g, 0, r) for r, g in enumerate(letters)], rules)
+        yield lambda name=f"random{n}", rules=rules: Presentation(name, gens, rules)
+
+
+def test_random_universes_report_only_real_cycles():
+    raised = 0
+    for build in random_universes():
+        pres = build()
         for length in (2, 3):
-            for word in itertools.product(letters, repeat=length):
+            for word in itertools.product(LETTERS, repeat=length):
                 try:
                     got = pres.normal_form(NCPoly.word(word))
                 except RewritingCycleError:
                     raised += 1
-                    assert _reaches_a_cycle(pres, word), (rules, word)
+                    assert _reaches_a_cycle(pres, word), (pres.rules, word)
                     continue
                 if not _reaches_a_cycle(pres, word):
-                    assert got.terms == leftmost_reference(pres, word)[0], (rules, word)
+                    assert got.terms == leftmost_reference(pres, word)[0], (pres.rules, word)
     assert raised > 0
+
+
+def test_random_universes_check_confluence_as_the_reference_does():
+    raised = failing = 0
+    for build in random_universes():
+        try:
+            want = reference_confluence(build())
+        except RewritingCycleError:
+            raised += 1
+            with pytest.raises(RewritingCycleError):
+                build().check_local_confluence()
+            continue
+        assert_same_failures(build().check_local_confluence(), want)
+        failing += bool(want)
+    assert raised and failing

@@ -266,6 +266,10 @@ def test_products_by_factor_shape_match_the_fraction_model():
         assert_matches(b * a, want)
         cancelled += assert_sums_match(a, ra, b, rb)
         mixed += a._den != b._den
+        # a - a cancels (twice); a + b - a cancels a's terms only, and
+        # what is left must come out canonical
+        assert assert_sums_match(a, ra, to_scalar(ra), ra) == (2 if ra else 3)
+        assert_matches(a + b - a, rb)
     assert cancelled and mixed
 
 
